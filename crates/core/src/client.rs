@@ -95,9 +95,9 @@ pub struct ClientCore<A: Application> {
     /// the fig8 flash-crowd benchmark models.
     caching: bool,
     /// Interned metric handles for the per-command completion path, tagged
-    /// with the registry they were minted under — the threaded harness
-    /// hands cores a fresh scratch `Metrics` per call, so a bare cache
-    /// would index into the wrong instance.
+    /// with the registry they were minted under so a core handed a
+    /// different `Metrics` instance re-interns instead of indexing into
+    /// the wrong registry (same contract as the server core's).
     mids: Option<(u64, ClientMetricIds)>,
 }
 

@@ -278,6 +278,10 @@ const RETX_WINDOW: usize = 32;
 const NACK_LIMIT: usize = 64;
 /// Minimum spacing of lazy ack flushes.
 const ACK_FLUSH_EVERY: SimDuration = SimDuration::from_millis(100);
+/// Maximum out-of-order frames buffered per peer in the FIFO reorder
+/// buffers. Frames past the cap are dropped (and counted); the ARQ layer
+/// retransmits them, so the bound trades memory for recovery latency only.
+const FIFO_BUFFER_CAP: usize = 4_096;
 
 /// Minimum spacing of epoch notices / jump announcements per peer.
 const SIGNAL_EVERY: SimDuration = SimDuration::from_millis(100);
@@ -293,9 +297,6 @@ type SendBuf<A> = std::collections::BTreeMap<u64, (Frame<Arc<Inner<A>>>, SimTime
 struct Wiring<A: Application> {
     routes: Arc<RouteTable>,
     fifo: FifoLinks<NodeId, Arc<Inner<A>>>,
-    /// Reorder-buffer cap handed to [`FifoLinks`]; kept so a restarted
-    /// actor can rebuild its wiring with the same bound.
-    fifo_cap: usize,
     /// FIFO drops already surfaced to the metrics registry (the fifo layer
     /// keeps a monotone total; this remembers how much was reported).
     reported_fifo_drops: u64,
@@ -317,15 +318,14 @@ struct Wiring<A: Application> {
 }
 
 impl<A: Application> Wiring<A> {
-    fn new(routes: Arc<RouteTable>, fifo_cap: usize) -> Self {
-        Self::with_epoch(routes, fifo_cap, 0)
+    fn new(routes: Arc<RouteTable>) -> Self {
+        Self::with_epoch(routes, 0)
     }
 
-    fn with_epoch(routes: Arc<RouteTable>, fifo_cap: usize, my_epoch: u64) -> Self {
+    fn with_epoch(routes: Arc<RouteTable>, my_epoch: u64) -> Self {
         Wiring {
             routes,
-            fifo: FifoLinks::with_buffer_cap(fifo_cap),
-            fifo_cap,
+            fifo: FifoLinks::with_buffer_cap(FIFO_BUFFER_CAP),
             reported_fifo_drops: 0,
             unacked: FastHashMap::default(),
             acked_to_peer: FastHashMap::default(),
@@ -577,7 +577,7 @@ impl<A: Application> Wiring<A> {
         }
         self.last_ack_flush = now;
         // Sample the reorder-buffer depth (count encoded in µs units) so
-        // experiments can see how close links run to `fifo_cap`.
+        // experiments can see how close links run to `FIFO_BUFFER_CAP`.
         ctx.metrics_mut().record_histogram(
             metric_names::NET_FIFO_BUFFERED,
             SimDuration::from_micros(self.fifo.buffered_count() as u64),
@@ -1121,7 +1121,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
         self.persisted = (floor, self.epoch);
         ctx.persist(&encode_stable(floor, self.epoch));
         let routes = Arc::clone(&self.wiring.routes);
-        self.wiring = Wiring::with_epoch(routes, self.wiring.fifo_cap, self.epoch);
+        self.wiring = Wiring::with_epoch(routes, self.epoch);
         // Placeholder member/core: gated behind `recovering`, replaced
         // wholesale at install (the t0 preload cannot be replayed, so a
         // restarted replica always takes the snapshot path).
@@ -1393,15 +1393,16 @@ pub struct ClusterConfig {
     pub repartition_threshold: u64,
     /// Minimum time between repartitionings.
     pub min_plan_interval: SimDuration,
-    /// Modelled partitioner latency: base + per-element.
+    /// Modelled partitioner base latency (the oracle adds a fixed 1 µs
+    /// per graph element).
     pub compute_base: SimDuration,
-    /// Modelled partitioner latency per graph element.
-    pub compute_per_element: SimDuration,
     /// Modelled execution engine at partition replicas: worker count,
     /// per-command CPU time and dependency-window size. The default
     /// (serial, zero service time) models infinite-speed servers; set a
     /// service time to get saturation behaviour and raise `workers` for
     /// conflict-aware parallel execution (see [`ExecConfig`]).
+    /// [`ClusterBuilder::build`] copies this into every replica's
+    /// [`ServerConfig::exec`], overwriting whatever `server.exec` holds.
     pub exec: ExecConfig,
     /// Client response timeout before re-dispatch through the oracle.
     pub client_timeout: SimDuration,
@@ -1421,36 +1422,17 @@ pub struct ClusterConfig {
     /// default ([`BatchConfig::UNBATCHED`]) reproduces the unbatched
     /// pipeline.
     pub batch: BatchConfig,
-    /// Maximum out-of-order frames buffered per peer in the transport's
-    /// FIFO reorder buffers. Frames past the cap are dropped (and counted);
-    /// the ARQ layer retransmits them, so the bound trades memory for
-    /// recovery latency only.
-    pub fifo_buffer_cap: usize,
-    /// Oracle workload-graph vertex cap (decay-based eviction beyond it).
-    pub max_graph_vertices: usize,
-    /// Oracle workload-graph edge cap.
-    pub max_graph_edges: usize,
     /// Oracle warm-start repartitioning (incremental `partition_from`
     /// seeded from the current plan; see `OracleConfig::warm_start`).
     pub warm_plans: bool,
     /// Warm-plan quality gate: accepted while the warm cut stays within
     /// this ratio of the last full multilevel run's.
     pub warm_quality_ratio: f64,
-    /// Warm-plan churn gate: full recompute when keys created + deleted
-    /// since the last plan exceed this fraction of the keyspace.
-    pub warm_churn_limit: f64,
     /// Number of oracle shard groups (DESIGN.md §7). Shard `s` owns the
     /// [`crate::routing::shard_of`] slice of the key→partition map and is
     /// multicast group `partitions + s`; shard 0 is the planner. The
     /// default `1` reproduces the unsharded oracle byte-for-byte.
     pub oracle_shards: u32,
-    /// Non-planner shards ship their accumulated hint delta to the planner
-    /// once this many graph changes pile up (see
-    /// [`OracleConfig::digest_threshold`]).
-    pub oracle_digest_threshold: u64,
-    /// Trickle-flush interval for sub-threshold digest deltas (see
-    /// [`OracleConfig::digest_interval`]).
-    pub oracle_digest_interval: SimDuration,
     /// Client-side location caching. Disabling it forces every command
     /// through an oracle `Exec` query — the cold-cache flash-crowd load
     /// the fig8 oracle benchmark measures shard scaling under.
@@ -1476,22 +1458,15 @@ impl Default for ClusterConfig {
             repartition_threshold: 2_000,
             min_plan_interval: SimDuration::from_secs(30),
             compute_base: SimDuration::from_millis(50),
-            compute_per_element: SimDuration::from_micros(1),
             exec: ExecConfig::default(),
             client_timeout: SimDuration::from_secs(10),
             client_retry_backoff: SimDuration::ZERO,
             warm_client_caches: false,
             metrics_bucket: SimDuration::from_secs(1),
             batch: BatchConfig::UNBATCHED,
-            fifo_buffer_cap: 4_096,
-            max_graph_vertices: 1 << 18,
-            max_graph_edges: 1 << 20,
             warm_plans: true,
             warm_quality_ratio: 1.1,
-            warm_churn_limit: 0.25,
             oracle_shards: 1,
-            oracle_digest_threshold: 256,
-            oracle_digest_interval: SimDuration::from_millis(500),
             client_location_cache: true,
             oracle_batch: None,
         }
@@ -1602,19 +1577,14 @@ impl<A: Application> ClusterBuilder<A> {
                 let mut core = ServerCore::<A>::new(
                     PartitionId(p as u32),
                     cfg.mode,
-                    ServerConfig {
-                        collect_hints: cfg.mode.optimizes() && cfg.server.collect_hints,
-                        record_metrics: r == 0,
-                        exec: cfg.exec,
-                        ..cfg.server.clone()
-                    },
+                    ServerConfig { record_metrics: r == 0, exec: cfg.exec, ..cfg.server.clone() },
                 );
                 core.preload(keys_by_part[p].iter().copied(), vars_by_part[p].iter().cloned());
                 let me = MemberId::new(GroupId(p as u32), r);
                 let actor = ServerActor::new(
                     McastMember::with_group_config(me, topo.clone(), group_cfg.clone()),
                     Role::Partition(core),
-                    Wiring::new(Arc::clone(&routes), cfg.fifo_buffer_cap),
+                    Wiring::new(Arc::clone(&routes)),
                     cfg.tick,
                     me,
                     topo.clone(),
@@ -1635,27 +1605,22 @@ impl<A: Application> ClusterBuilder<A> {
                     mode: cfg.mode,
                     repartition_threshold: cfg.repartition_threshold,
                     compute_base: cfg.compute_base,
-                    compute_per_element: cfg.compute_per_element,
-                    balance_factor: 1.2,
                     decay_hints: true,
                     min_plan_interval: cfg.min_plan_interval,
                     record_metrics: r == 0,
-                    max_graph_vertices: cfg.max_graph_vertices,
-                    max_graph_edges: cfg.max_graph_edges,
                     warm_start: cfg.warm_plans,
                     warm_quality_ratio: cfg.warm_quality_ratio,
-                    warm_churn_limit: cfg.warm_churn_limit,
                     shards: cfg.oracle_shards,
                     shard: s,
-                    digest_threshold: cfg.oracle_digest_threshold,
-                    digest_interval: cfg.oracle_digest_interval,
+                    // Graph caps stay at their defaults.
+                    ..OracleConfig::default()
                 });
                 core.preload_map(self.placement.iter().map(|(&kk, &p)| (kk, p)));
                 let me = MemberId::new(GroupId(k as u32 + s), r);
                 let actor = ServerActor::new(
                     McastMember::with_group_config(me, topo.clone(), oracle_group_cfg.clone()),
                     Role::Oracle(core),
-                    Wiring::new(Arc::clone(&routes), cfg.fifo_buffer_cap),
+                    Wiring::new(Arc::clone(&routes)),
                     cfg.tick,
                     me,
                     topo.clone(),
@@ -1720,7 +1685,7 @@ impl<A: Application> Cluster<A> {
         let actor = ClientActor {
             core,
             workload,
-            wiring: Wiring::new(Arc::clone(&self.routes), self.config.fifo_buffer_cap),
+            wiring: Wiring::new(Arc::clone(&self.routes)),
             timeout: self.config.client_timeout,
             start_jitter: SimDuration::from_micros(jitter_us),
             done: false,

@@ -48,7 +48,6 @@ pub mod oracle;
 pub mod payload;
 pub mod routing;
 pub mod server;
-pub mod threaded;
 
 pub use client::{ClientCore, ClientEvent, Workload};
 pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, LocationView};

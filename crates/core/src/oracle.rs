@@ -45,19 +45,17 @@ mod tag {
     pub const PLAN: u32 = 300;
     /// Recompute-proposal marker ([`super::Payload::Recompute`]).
     pub const RECOMPUTE: u32 = 310;
-    /// Per-shard workload-graph digest ([`super::Payload::GraphDigest`]).
-    pub const DIGEST: u32 = 320;
-    /// Digest-flush marker ([`super::Payload::DigestFlush`]).
-    pub const FLUSH: u32 = 330;
 }
 
-/// Origin of shard-`shard`-originated deterministic message ids (digests
-/// and flush markers). The planner's plan/recompute markers use
-/// `u64::MAX - 1`; shard `s` gets `u64::MAX - 2 - s`, a band far above
-/// client and partition origins.
-fn shard_origin(shard: u32) -> u64 {
-    u64::MAX - 2 - shard as u64
-}
+/// Modelled partitioner latency per graph element (vertex or edge), on
+/// top of [`OracleConfig::compute_base`].
+const COMPUTE_PER_ELEMENT: SimDuration = SimDuration::from_micros(1);
+
+/// Warm-start churn gate: a full run replaces the warm start when keys
+/// created + deleted since the last plan compute exceed this fraction of
+/// the tracked keyspace — a churned keyspace leaves too little of the
+/// previous assignment to warm-start from.
+const WARM_CHURN_LIMIT: f64 = 0.25;
 
 /// Tunables for the oracle.
 #[derive(Debug, Clone)]
@@ -68,12 +66,9 @@ pub struct OracleConfig {
     pub mode: Mode,
     /// Workload-graph change count that triggers a repartitioning.
     pub repartition_threshold: u64,
-    /// Modelled partitioner base latency.
+    /// Modelled partitioner base latency (plus a fixed 1 µs per graph
+    /// element).
     pub compute_base: SimDuration,
-    /// Modelled additional latency per graph element (vertex or edge).
-    pub compute_per_element: SimDuration,
-    /// Allowed partition imbalance (paper: 1.2).
-    pub balance_factor: f64,
     /// Halve hint weights at every recompute so the graph tracks the
     /// *recent* workload (needed for the paper's dynamic experiment).
     pub decay_hints: bool,
@@ -101,32 +96,21 @@ pub struct OracleConfig {
     /// the last published plan) instead of re-running the full multilevel
     /// pipeline. Falls back to a full run when the warm cut or keyspace
     /// churn disqualify it — see [`OracleConfig::warm_quality_ratio`] and
-    /// [`OracleConfig::warm_churn_limit`].
+    /// `WARM_CHURN_LIMIT`.
     pub warm_start: bool,
     /// Accept a warm-started plan only while its normalized edge cut
     /// (cut / total edge weight) stays within this ratio of the last
     /// *full* multilevel run's. Past it, the incremental path has drifted
     /// too far from optimal and a full run recalibrates.
     pub warm_quality_ratio: f64,
-    /// Fall back to a full run when keys created + deleted since the last
-    /// plan compute exceed this fraction of the tracked keyspace — a
-    /// churned keyspace leaves too little of the previous assignment to
-    /// warm-start from.
-    pub warm_churn_limit: f64,
     /// Number of oracle shard groups the cluster runs (DESIGN.md §7).
     /// `1` reproduces the unsharded oracle exactly.
     pub shards: u32,
     /// This core's shard index, `0..shards`. Shard 0 is the planner: it
-    /// owns the workload graph and the recompute/plan machinery; other
-    /// shards forward their hint slices to it as [`Payload::GraphDigest`]s.
+    /// alone receives the partitions' hint batches, owns the workload
+    /// graph and runs the recompute/plan machinery; other shards only
+    /// answer location queries.
     pub shard: u32,
-    /// A non-planner shard ships its pending graph delta to the planner
-    /// once this many changes accumulate (count gate — evaluated at
-    /// delivery positions, so it is identical on every replica).
-    pub digest_threshold: u64,
-    /// Trickle flush: a shard replica whose sub-threshold delta has sat
-    /// unshipped this long proposes a [`Payload::DigestFlush`] marker.
-    pub digest_interval: SimDuration,
 }
 
 impl Default for OracleConfig {
@@ -136,8 +120,6 @@ impl Default for OracleConfig {
             mode: Mode::Dynastar,
             repartition_threshold: 2_000,
             compute_base: SimDuration::from_millis(50),
-            compute_per_element: SimDuration::from_micros(1),
-            balance_factor: 1.2,
             decay_hints: true,
             max_graph_vertices: 1 << 18,
             max_graph_edges: 1 << 20,
@@ -145,11 +127,8 @@ impl Default for OracleConfig {
             record_metrics: true,
             warm_start: true,
             warm_quality_ratio: 1.1,
-            warm_churn_limit: 0.25,
             shards: 1,
             shard: 0,
-            digest_threshold: 256,
-            digest_interval: SimDuration::from_millis(500),
         }
     }
 }
@@ -186,77 +165,6 @@ fn shrink_weighted<K: Ord + Copy + std::hash::Hash>(
     (before - map.len()) as u64
 }
 
-/// Pending workload-graph delta a non-planner oracle shard accumulates
-/// between digests. `LocKey`s are interned to dense `u32` ids at first
-/// touch (deliveries arrive in total order, so interning order is
-/// identical on every replica of the shard), keeping the per-delivery hot
-/// path on flat vectors and a pair-keyed hash map instead of tree
-/// structures. Draining canonicalizes by key order, so the digest bytes
-/// are a function of delta *content* alone.
-#[derive(Clone, Default)]
-struct DigestDelta {
-    intern: FastHashMap<LocKey, u32>,
-    keys: Vec<LocKey>,
-    vertex_w: Vec<u64>,
-    edges: FastHashMap<(u32, u32), u64>,
-    changes: u64,
-}
-
-impl DigestDelta {
-    fn id_of(&mut self, k: LocKey) -> u32 {
-        *self.intern.entry(k).or_insert_with(|| {
-            let id = self.keys.len() as u32;
-            self.keys.push(k);
-            self.vertex_w.push(0);
-            id
-        })
-    }
-
-    fn add_vertex(&mut self, k: LocKey, w: u64) {
-        let id = self.id_of(k);
-        self.vertex_w[id as usize] += w;
-        self.changes += 1;
-    }
-
-    fn add_edge(&mut self, a: LocKey, b: LocKey, w: u64) {
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let ia = self.id_of(a);
-        let ib = self.id_of(b);
-        *self.edges.entry((ia, ib)).or_insert(0) += w;
-        self.changes += 1;
-    }
-
-    fn is_empty(&self) -> bool {
-        self.keys.is_empty() && self.edges.is_empty()
-    }
-
-    /// Drains the delta into canonical (key-sorted) vertex and edge
-    /// increment lists, resetting it to empty.
-    #[allow(clippy::type_complexity)]
-    fn drain(&mut self) -> (Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>) {
-        let mut vertices: Vec<(LocKey, u64)> = self
-            .keys
-            .iter()
-            .zip(&self.vertex_w)
-            .filter(|&(_, &w)| w > 0)
-            .map(|(&k, &w)| (k, w))
-            .collect();
-        vertices.sort_unstable_by_key(|&(k, _)| k);
-        let mut edges: Vec<(LocKey, LocKey, u64)> = self
-            .edges
-            .iter()
-            .map(|(&(ia, ib), &w)| (self.keys[ia as usize], self.keys[ib as usize], w))
-            .collect();
-        edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        self.intern.clear();
-        self.keys.clear();
-        self.vertex_w.clear();
-        self.edges.clear();
-        self.changes = 0;
-        (vertices, edges)
-    }
-}
-
 /// One oracle replica's protocol core. See the [module docs](self).
 pub struct OracleCore<A: Application> {
     config: OracleConfig,
@@ -267,7 +175,7 @@ pub struct OracleCore<A: Application> {
     /// exist" answers and for [`OracleCore::location_view`].
     map: FastHashMap<LocKey, PartitionId>,
     /// Workload graph: vertex access counts and co-access edge weights
-    /// (planner shard only; other shards accumulate into `delta`).
+    /// (planner shard only).
     vertices: FastHashMap<LocKey, u64>,
     edges: FastHashMap<(LocKey, LocKey), u64>,
     /// Changes accumulated since the last plan.
@@ -300,17 +208,6 @@ pub struct OracleCore<A: Application> {
     /// Interned (counter, series) ids for [`mn::ORACLE_QUERIES`] — the
     /// oracle's per-delivery hot path — resolved lazily.
     query_ids: Option<(u64, dynastar_runtime::CounterId, dynastar_runtime::SeriesId)>,
-    /// Pending graph delta not yet shipped to the planner (non-planner
-    /// shards only).
-    delta: DigestDelta,
-    /// Sequence number of the next digest this shard ships.
-    digest_seq: u32,
-    /// Lowest digest seq this replica has *not* proposed a flush marker
-    /// for — a local flood guard; the marker itself dedups by message id.
-    proposed_flush: u32,
-    /// When this shard last shipped a digest (replica-local; only gates
-    /// flush-marker proposals, like the recompute interval gate).
-    last_digest_at: SimTime,
     /// Reusable eviction scratch for [`shrink_weighted`] over vertices.
     shrink_vertices: Vec<(u64, LocKey)>,
     /// Reusable eviction scratch for [`shrink_weighted`] over edges.
@@ -341,10 +238,6 @@ impl<A: Application> Clone for OracleCore<A> {
             last_full_cut_frac: self.last_full_cut_frac,
             churn_since_plan: self.churn_since_plan,
             query_ids: self.query_ids,
-            delta: self.delta.clone(),
-            digest_seq: self.digest_seq,
-            proposed_flush: self.proposed_flush,
-            last_digest_at: self.last_digest_at,
             // Scratch buffers carry no protocol state; a recovering
             // replica starts with fresh (empty) ones.
             shrink_vertices: Vec::new(),
@@ -382,10 +275,6 @@ impl<A: Application> OracleCore<A> {
             last_full_cut_frac: None,
             churn_since_plan: 0,
             query_ids: None,
-            delta: DigestDelta::default(),
-            digest_seq: 0,
-            proposed_flush: 0,
-            last_digest_at: SimTime::ZERO,
             shrink_vertices: Vec::new(),
             shrink_edges: Vec::new(),
             edge_scratch: Vec::new(),
@@ -520,41 +409,11 @@ impl<A: Application> OracleCore<A> {
                 });
             }
             Payload::Hint { vertices, edges } => {
+                // Partitions address every hint batch to the planner
+                // shard; a misdirected one elsewhere is dropped.
                 if self.is_planner() {
                     self.merge_graph(vertices, edges, metrics);
                     self.maybe_propose_recompute(now, &mut eff);
-                } else {
-                    // Non-planner shard: accumulate into the pending delta
-                    // and ship a digest to the planner once the count gate
-                    // opens. The gate reads only delivered state, so every
-                    // replica of the shard drains the same delta at the
-                    // same position and the digests dedup by message id.
-                    for (k, w) in vertices {
-                        self.delta.add_vertex(k, w);
-                    }
-                    for (a, b, w) in edges {
-                        self.delta.add_edge(a, b, w);
-                    }
-                    if self.delta.changes >= self.config.digest_threshold {
-                        self.emit_digest(now, &mut eff);
-                    }
-                }
-            }
-            Payload::GraphDigest { vertices, edges, .. } => {
-                // Planner only (digests are multicast to shard 0 alone,
-                // but the handler stays total for wire hygiene): merge the
-                // shard's delta exactly like a hint batch.
-                if self.is_planner() {
-                    self.merge_graph(vertices, edges, metrics);
-                    self.maybe_propose_recompute(now, &mut eff);
-                }
-            }
-            Payload::DigestFlush { shard, seq } => {
-                // Drain a lingering delta at the marker's delivery
-                // position. A stale marker (the delta already shipped via
-                // the count gate, bumping `digest_seq` past `seq`) no-ops.
-                if shard == self.config.shard && seq == self.digest_seq && !self.delta.is_empty() {
-                    self.emit_digest(now, &mut eff);
                 }
             }
             Payload::Recompute { version } => {
@@ -650,16 +509,14 @@ impl<A: Application> OracleCore<A> {
 
     /// Periodic check (driven by the hosting actor's tick): the planner
     /// proposes a recompute if the change threshold was crossed while the
-    /// minimum-interval gate was still closed; other shards propose a
-    /// digest flush for a lingering sub-threshold delta.
+    /// minimum-interval gate was still closed.
     pub fn on_tick(&mut self, now: SimTime, _metrics: &mut Metrics) -> Vec<Effect<A>> {
         let mut eff = Vec::new();
         self.maybe_propose_recompute(now, &mut eff);
-        self.maybe_propose_flush(now, &mut eff);
         eff
     }
 
-    /// Merges a hint or digest batch into the planner's workload graph,
+    /// Merges a hint batch into the planner's workload graph,
     /// enforcing the graph caps.
     fn merge_graph(
         &mut self,
@@ -687,51 +544,6 @@ impl<A: Application> OracleCore<A> {
         if evicted > 0 && self.config.record_metrics {
             metrics.incr_counter(mn::ORACLE_GRAPH_EVICTIONS, evicted);
         }
-    }
-
-    /// Drains the pending delta into a [`Payload::GraphDigest`] multicast
-    /// to the planner shard. Every replica of this shard reaches this at
-    /// the same delivery position with the same delta, so the digest's
-    /// deterministic id dedups the copies.
-    fn emit_digest(&mut self, now: SimTime, eff: &mut Vec<Effect<A>>) {
-        let (vertices, edges) = self.delta.drain();
-        if vertices.is_empty() && edges.is_empty() {
-            return;
-        }
-        let shard = self.config.shard;
-        let seq = self.digest_seq;
-        self.digest_seq += 1;
-        self.last_digest_at = now;
-        eff.push(Effect::Multicast {
-            mid: MsgId { origin: shard_origin(shard), seq, tag: tag::DIGEST },
-            partitions: Vec::new(),
-            oracle: OracleDest::Shard(0),
-            payload: Payload::GraphDigest { shard, seq, vertices, edges },
-        });
-    }
-
-    /// Proposes a [`Payload::DigestFlush`] marker when a non-planner
-    /// shard's delta has idled past the digest interval — the trickle
-    /// tail the count gate alone would strand. Mirrors the recompute
-    /// marker: the interval reads replica-local time, so the *drain*
-    /// happens at the marker's delivery position, identical everywhere.
-    fn maybe_propose_flush(&mut self, now: SimTime, eff: &mut Vec<Effect<A>>) {
-        if self.is_planner()
-            || self.delta.is_empty()
-            || now.saturating_duration_since(self.last_digest_at) < self.config.digest_interval
-            || self.proposed_flush > self.digest_seq
-        {
-            return;
-        }
-        let shard = self.config.shard;
-        let seq = self.digest_seq;
-        self.proposed_flush = seq + 1;
-        eff.push(Effect::Multicast {
-            mid: MsgId { origin: shard_origin(shard), seq, tag: tag::FLUSH },
-            partitions: Vec::new(),
-            oracle: OracleDest::Shard(shard),
-            payload: Payload::DigestFlush { shard, seq },
-        });
     }
 
     /// Task 1: route a command, reply with a prophecy, dispatch.
@@ -943,8 +755,7 @@ impl<A: Application> OracleCore<A> {
             }
             metrics.record_series(mn::PLAN_EDGE_CUT, now, cut);
         }
-        let after = self.config.compute_base
-            + self.config.compute_per_element.saturating_mul(elements as u64);
+        let after = self.config.compute_base + COMPUTE_PER_ELEMENT.saturating_mul(elements as u64);
         self.pending_plan = Some((plan_mid, payload));
         eff.push(Effect::SchedulePlan { after });
         if self.config.decay_hints {
@@ -972,8 +783,7 @@ impl<A: Application> OracleCore<A> {
     /// current location map (the surviving keys of the last published
     /// plan, mapped through the key index). It is taken only when (a) at
     /// least one full run has recorded a reference cut, (b) keyspace
-    /// churn since the last plan stays under
-    /// [`OracleConfig::warm_churn_limit`], and (c) the warm cut lands
+    /// churn since the last plan stays under `WARM_CHURN_LIMIT`, and (c) the warm cut lands
     /// within [`OracleConfig::warm_quality_ratio`] of the reference;
     /// otherwise the full pipeline runs and re-records the reference.
     fn compute_plan(&mut self) -> (MsgId, Payload<A>, usize, bool, f64) {
@@ -1009,14 +819,13 @@ impl<A: Application> OracleCore<A> {
         self.edge_scratch = edge_scratch;
         let g = b.build();
         let k = self.config.partitions;
-        let cfg = PartitionConfig::default()
-            .seed(self.plan_version + 1)
-            .balance_factor(self.config.balance_factor);
+        // The partitioner's default balance factor is the paper's 1.2.
+        let cfg = PartitionConfig::default().seed(self.plan_version + 1);
         let prev = Partitioning::new(k, keys.iter().map(|kk| self.map[kk].0).collect());
         let total_ew = g.total_edge_weight();
         let cut_frac = |cut: u64| if total_ew == 0 { 0.0 } else { cut as f64 / total_ew as f64 };
-        let churn_ok = (self.churn_since_plan as f64)
-            <= self.config.warm_churn_limit * self.map.len().max(1) as f64;
+        let churn_ok =
+            (self.churn_since_plan as f64) <= WARM_CHURN_LIMIT * self.map.len().max(1) as f64;
         let mut warm_used = false;
         let mut plan: Option<Partitioning> = None;
         if self.config.warm_start && self.plan_version > 0 && churn_ok {
@@ -1447,7 +1256,6 @@ mod tests {
             partitions: 2,
             repartition_threshold: 5,
             min_plan_interval: SimDuration::from_millis(1),
-            warm_churn_limit: 0.25,
             ..OracleConfig::default()
         });
         o.preload_map((0..4).map(|k| (LocKey(k), PartitionId((k % 2) as u32))));
@@ -1753,8 +1561,6 @@ mod tests {
             min_plan_interval: SimDuration::from_millis(1),
             shards,
             shard,
-            digest_threshold: 4,
-            digest_interval: SimDuration::from_millis(10),
             ..OracleConfig::default()
         });
         o.preload_map((0..4).map(|k| (LocKey(k), PartitionId((k % 2) as u32))));
@@ -1779,108 +1585,20 @@ mod tests {
     }
 
     #[test]
-    fn non_planner_ships_digest_at_threshold() {
+    fn non_planner_drops_hints() {
         let mut o = sharded(4, 1);
         let mut m = Metrics::new();
-        // 3 changes: below the threshold of 4 — nothing ships.
         let eff = o.on_deliver(
             Payload::Hint {
-                vertices: vec![(LocKey(0), 5), (LocKey(1), 5)],
-                edges: vec![(LocKey(0), LocKey(1), 9)],
-            },
-            SimTime::from_millis(1),
-            &mut m,
-        );
-        assert!(eff.is_empty(), "sub-threshold delta must not ship");
-        assert_eq!(o.graph_vertices(), 0, "non-planner must not grow its own graph");
-        // One more change crosses the gate: a digest ships to the planner.
-        let eff = o.on_deliver(
-            Payload::Hint { vertices: vec![(LocKey(2), 7)], edges: vec![] },
-            SimTime::from_millis(2),
-            &mut m,
-        );
-        let digest = eff
-            .iter()
-            .find_map(|e| match e {
-                Effect::Multicast {
-                    mid,
-                    oracle: OracleDest::Shard(0),
-                    payload: Payload::GraphDigest { shard, seq, vertices, edges },
-                    ..
-                } => Some((*mid, *shard, *seq, vertices.clone(), edges.clone())),
-                _ => None,
-            })
-            .expect("digest shipped at threshold");
-        assert_eq!(digest.0, MsgId { origin: shard_origin(1), seq: 0, tag: tag::DIGEST });
-        assert_eq!(digest.1, 1);
-        assert_eq!(digest.2, 0);
-        // Canonical key order, weights accumulated across hints.
-        assert_eq!(digest.3, vec![(LocKey(0), 5), (LocKey(1), 5), (LocKey(2), 7)]);
-        assert_eq!(digest.4, vec![(LocKey(0), LocKey(1), 9)]);
-    }
-
-    #[test]
-    fn planner_merges_digest_like_hints() {
-        let mut o = sharded(1, 0);
-        let mut m = Metrics::new();
-        let eff = o.on_deliver(
-            Payload::GraphDigest {
-                shard: 2,
-                seq: 0,
-                vertices: (0..4).map(|k| (LocKey(k), 5)).collect(),
-                edges: vec![(LocKey(0), LocKey(1), 20), (LocKey(2), LocKey(3), 20)],
+                vertices: (0..4).map(|k| (LocKey(k), 50)).collect(),
+                edges: vec![(LocKey(0), LocKey(1), 100)],
             },
             SimTime::from_millis(2),
             &mut m,
         );
-        assert_eq!(o.graph_vertices(), 4);
-        assert_eq!(o.graph_edges(), 2);
-        // 6 changes >= threshold 5: the digest triggers the recompute
-        // proposal exactly as a hint batch would.
-        assert!(eff
-            .iter()
-            .any(|e| matches!(e, Effect::Multicast { payload: Payload::Recompute { .. }, .. })));
-    }
-
-    #[test]
-    fn flush_marker_drains_lingering_delta() {
-        let mut o = sharded(4, 2);
-        let mut m = Metrics::new();
-        let _ = o.on_deliver(
-            Payload::Hint { vertices: vec![(LocKey(0), 3)], edges: vec![] },
-            SimTime::from_millis(1),
-            &mut m,
-        );
-        // Before the interval elapses a tick proposes nothing.
-        assert!(o.on_tick(SimTime::from_millis(5), &mut m).is_empty());
-        let eff = o.on_tick(SimTime::from_millis(20), &mut m);
-        let (shard, seq) = eff
-            .iter()
-            .find_map(|e| match e {
-                Effect::Multicast {
-                    oracle: OracleDest::Shard(s),
-                    payload: Payload::DigestFlush { shard, seq },
-                    ..
-                } => {
-                    assert_eq!(*s, *shard, "flush marker targets its own shard group");
-                    Some((*shard, *seq))
-                }
-                _ => None,
-            })
-            .expect("idle delta proposes a flush");
-        assert_eq!((shard, seq), (2, 0));
-        // A duplicate tick must not re-propose the same flush.
-        assert!(o.on_tick(SimTime::from_millis(40), &mut m).is_empty());
-        // Delivery of the marker drains the delta into a digest.
-        let eff =
-            o.on_deliver(Payload::DigestFlush { shard, seq }, SimTime::from_millis(41), &mut m);
-        assert!(eff
-            .iter()
-            .any(|e| matches!(e, Effect::Multicast { payload: Payload::GraphDigest { .. }, .. })));
-        // A stale (already-drained) marker no-ops.
-        let eff =
-            o.on_deliver(Payload::DigestFlush { shard, seq }, SimTime::from_millis(42), &mut m);
-        assert!(eff.is_empty(), "stale flush marker must no-op");
+        assert!(eff.is_empty(), "only the planner acts on hints");
+        assert_eq!((o.graph_vertices(), o.graph_edges()), (0, 0));
+        assert!(o.on_tick(SimTime::from_millis(100), &mut m).is_empty());
     }
 
     #[test]

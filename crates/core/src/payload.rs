@@ -50,7 +50,8 @@ pub enum Payload<A: Application> {
         /// The partition currently owning the key.
         dest: PartitionId,
     },
-    /// Partition → oracle: workload-graph hints (Algorithm 2 Task 4).
+    /// Partition → planner oracle shard (shard 0): workload-graph hints
+    /// (Algorithm 2 Task 4).
     Hint {
         /// `(key, access count)` vertex increments.
         vertices: Vec<(LocKey, u64)>,
@@ -111,36 +112,6 @@ pub enum Payload<A: Application> {
         from: PartitionId,
         /// The destination that never finished receiving.
         to: PartitionId,
-    },
-    /// Non-planner oracle shard → planner shard: a drained slice of the
-    /// shard's pending workload-graph delta. The planner merges digests
-    /// into its graph exactly like [`Payload::Hint`]s; every replica of
-    /// the originating shard drains the same delta at the same delivery
-    /// position and submits the same deterministic message id, so the
-    /// multicast layer delivers each digest once.
-    GraphDigest {
-        /// The originating oracle shard.
-        shard: u32,
-        /// The shard's digest sequence number (dedups the replicas'
-        /// copies via the message id).
-        seq: u32,
-        /// `(key, access count)` vertex increments since the last digest.
-        vertices: Vec<(LocKey, u64)>,
-        /// `(key a, key b, weight)` edge increments since the last digest.
-        edges: Vec<(LocKey, LocKey, u64)>,
-    },
-    /// Oracle shard replicas → own shard group: agree on the log position
-    /// at which a lingering (sub-threshold) delta is drained into a
-    /// digest. Same reasoning as [`Payload::Recompute`]: the trickle
-    /// timer is replica-local, so acting on it directly would have each
-    /// replica drain a different delta; the marker's delivery position
-    /// makes the drain identical everywhere.
-    DigestFlush {
-        /// The shard whose delta should be drained.
-        shard: u32,
-        /// The digest sequence this flush proposes to emit; stale
-        /// markers (the delta already shipped via the count gate) no-op.
-        seq: u32,
     },
 }
 
@@ -434,15 +405,6 @@ impl<A: Application> Clone for Payload<A> {
             }
             Payload::MigrationRevert { version, key, from, to } => {
                 Payload::MigrationRevert { version: *version, key: *key, from: *from, to: *to }
-            }
-            Payload::GraphDigest { shard, seq, vertices, edges } => Payload::GraphDigest {
-                shard: *shard,
-                seq: *seq,
-                vertices: vertices.clone(),
-                edges: edges.clone(),
-            },
-            Payload::DigestFlush { shard, seq } => {
-                Payload::DigestFlush { shard: *shard, seq: *seq }
             }
         }
     }

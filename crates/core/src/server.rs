@@ -25,7 +25,6 @@ use crate::command::{
 use crate::metric_names as mn;
 use crate::migration::{MoveOutcome, PlanHistory, Settle, PLAN_HISTORY_PER_KEY};
 use crate::payload::{DedupKey, Destination, Direct, Effect, OracleDest, Payload};
-use crate::routing::shard_of;
 
 /// Emits protocol-stall diagnostics to stderr when the
 /// `DYNASTAR_TRACE_BLOCKED` environment variable is set.
@@ -91,16 +90,17 @@ impl ExecConfig {
 /// Tunables for a partition server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Executed commands per workload-hint batch sent to the oracle.
+    /// Executed commands per workload-hint batch sent to the oracle
+    /// (DynaStar mode only; the baselines collect no hints).
     pub hint_batch: u32,
-    /// Whether to collect hints at all (DynaStar mode only).
-    pub collect_hints: bool,
     /// Whether this replica records server-side metrics. Every replica of
     /// a partition executes every command, so exactly one replica (index
     /// 0) records, or counters would multiply by the replication factor.
     pub record_metrics: bool,
     /// The modelled execution engine: worker count, per-command cost and
-    /// dependency-window size (see [`ExecConfig`]).
+    /// dependency-window size (see [`ExecConfig`]). In a simulated
+    /// cluster, [`crate::cluster::ClusterBuilder::build`] overwrites this
+    /// with [`crate::cluster::ClusterConfig::exec`]: set that one instead.
     pub exec: ExecConfig,
     /// Staged migration: plan-triggered key moves ship their variables in
     /// rate-limited, individually acknowledged chunks instead of one
@@ -125,18 +125,12 @@ pub struct ServerConfig {
     /// tail, releasing deferred moves as transfers settle. `0` disables
     /// the cap (every move ships at once, PR 6 behaviour).
     pub migration_max_inflight_per_link: u32,
-    /// Number of oracle shard groups in the deployment. Hint batches are
-    /// split by slice ownership ([`crate::routing::shard_of`]) and each
-    /// slice multicast to its owner shard; `1` emits the single classic
-    /// hint multicast.
-    pub oracle_shards: u32,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             hint_batch: 64,
-            collect_hints: true,
             record_metrics: true,
             exec: ExecConfig::default(),
             staged_migration: false,
@@ -146,7 +140,6 @@ impl Default for ServerConfig {
             migration_chunk_timeout: dynastar_runtime::SimDuration::from_millis(200),
             migration_max_retries: 5,
             migration_max_inflight_per_link: 0,
-            oracle_shards: 1,
         }
     }
 }
@@ -879,11 +872,7 @@ impl<A: Application> ServerCore<A> {
                     }
                 }
             }
-            Payload::Exec { .. }
-            | Payload::Hint { .. }
-            | Payload::Recompute { .. }
-            | Payload::GraphDigest { .. }
-            | Payload::DigestFlush { .. } => {
+            Payload::Exec { .. } | Payload::Hint { .. } | Payload::Recompute { .. } => {
                 // Oracle-only payloads; partitions are never destinations.
             }
         }
@@ -1827,16 +1816,15 @@ impl<A: Application> ServerCore<A> {
                 metrics.record_at(ids.s_cmd_single, now, 1.0);
             }
         }
-        if self.config.collect_hints && self.mode.optimizes() {
+        if self.mode.optimizes() {
             self.record_hint(cmd, eff);
         }
     }
 
     /// Accumulates workload-graph hints and flushes a batch when due
-    /// (Algorithm 2 Task 4, partition side).
+    /// (Algorithm 2 Task 4, partition side). Every batch goes to the
+    /// planner shard, the one oracle shard that owns the workload graph.
     fn record_hint(&mut self, cmd: &Command<A>, eff: &mut Vec<Effect<A>>) {
-        /// One shard's hint slice: (vertex, weight) and (a, b, weight) lists.
-        type HintSlice = (Vec<(LocKey, u64)>, Vec<(LocKey, LocKey, u64)>);
         let keys = cmd.keys();
         for &k in &keys {
             *self.hint_vertices.entry(k).or_insert(0) += 1;
@@ -1847,40 +1835,25 @@ impl<A: Application> ServerCore<A> {
             }
         }
         self.hint_execs += 1;
-        if self.hint_execs >= self.config.hint_batch {
-            self.hint_execs = 0;
-            // Split the batch by slice ownership and multicast each
-            // non-empty slice to its owner shard, in shard order: a
-            // vertex goes to its key's owner, an edge to its lower key's
-            // (keys are sorted within a command, so `a` is the lower).
-            // Each slice consumes its own hint sequence number. With one
-            // shard this emits exactly the single classic hint multicast
-            // (BTreeMap iteration keeps the lists key-sorted).
-            let shards = self.config.oracle_shards;
-            let mut slices: Vec<HintSlice> = vec![(Vec::new(), Vec::new()); shards.max(1) as usize];
-            for (&k, &w) in &self.hint_vertices {
-                slices[shard_of(k, shards) as usize].0.push((k, w));
-            }
-            for (&(a, b), &w) in &self.hint_edges {
-                slices[shard_of(a, shards) as usize].1.push((a, b, w));
-            }
-            self.hint_vertices.clear();
-            self.hint_edges.clear();
-            for (s, (vertices, edges)) in slices.into_iter().enumerate() {
-                if vertices.is_empty() && edges.is_empty() {
-                    continue;
-                }
-                let mid =
-                    MsgId::new(PARTITION_ORIGIN_BASE + self.partition.0 as u64, self.hint_seq);
-                self.hint_seq += 1;
-                eff.push(Effect::Multicast {
-                    mid,
-                    partitions: Vec::new(),
-                    oracle: OracleDest::Shard(s as u32),
-                    payload: Payload::Hint { vertices, edges },
-                });
-            }
+        if self.hint_execs < self.config.hint_batch {
+            return;
         }
+        self.hint_execs = 0;
+        if self.hint_vertices.is_empty() && self.hint_edges.is_empty() {
+            return;
+        }
+        // BTreeMap iteration keeps both lists key-sorted.
+        let vertices = std::mem::take(&mut self.hint_vertices).into_iter().collect();
+        let edges =
+            std::mem::take(&mut self.hint_edges).into_iter().map(|((a, b), w)| (a, b, w)).collect();
+        let mid = MsgId::new(PARTITION_ORIGIN_BASE + self.partition.0 as u64, self.hint_seq);
+        self.hint_seq += 1;
+        eff.push(Effect::Multicast {
+            mid,
+            partitions: Vec::new(),
+            oracle: OracleDest::Shard(0),
+            payload: Payload::Hint { vertices, edges },
+        });
     }
 
     fn pump_create(
@@ -2506,6 +2479,44 @@ mod tests {
         assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 11)]));
         assert_eq!(s.value_of(VarId(0)), Some(&11));
         assert_eq!(m.counter(mn::CMD_SINGLE), 1);
+    }
+
+    #[test]
+    fn hint_batch_goes_to_planner_shard() {
+        let config = ServerConfig { hint_batch: 3, ..ServerConfig::default() };
+        let mut s = ServerCore::<App>::new(PartitionId(2), Mode::Dynastar, config);
+        s.preload(
+            [LocKey(0), LocKey(1), LocKey(2)],
+            [(VarId(0), 0), (VarId(10), 0), (VarId(20), 0)],
+        );
+        let mut m = Metrics::new();
+        let multicasts = |eff: &[Effect<App>]| {
+            eff.iter().filter(|e| matches!(e, Effect::Multicast { .. })).count()
+        };
+        for (seq, vars) in [[(0, 2), (10, 2)], [(0, 2), (10, 2)]].iter().enumerate() {
+            let eff = s.on_deliver(access_payload(seq as u32, vars, 2, 0), now(), &mut m);
+            assert!(reply_of(&eff).is_some());
+            assert_eq!(multicasts(&eff), 0, "no hint before the batch fills");
+        }
+        let eff = s.on_deliver(access_payload(2, &[(20, 2)], 2, 0), now(), &mut m);
+        assert_eq!(multicasts(&eff), 1, "one hint multicast per batch");
+        let (mid, partitions, oracle, vertices, edges) = eff
+            .iter()
+            .find_map(|e| match e {
+                Effect::Multicast {
+                    mid,
+                    partitions,
+                    oracle,
+                    payload: Payload::Hint { vertices, edges },
+                } => Some((*mid, partitions, *oracle, vertices, edges)),
+                _ => None,
+            })
+            .expect("the multicast is a hint batch");
+        assert_eq!(mid, MsgId::new(PARTITION_ORIGIN_BASE + 2, 0));
+        assert!(partitions.is_empty());
+        assert_eq!(oracle, OracleDest::Shard(0));
+        assert_eq!(*vertices, vec![(LocKey(0), 2), (LocKey(1), 2), (LocKey(2), 1)]);
+        assert_eq!(*edges, vec![(LocKey(0), LocKey(1), 2)]);
     }
 
     #[test]

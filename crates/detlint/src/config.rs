@@ -75,7 +75,6 @@ impl Default for Config {
                 "crates/core/src/client.rs",
                 "crates/core/src/cluster.rs",
                 "crates/core/src/payload.rs",
-                "crates/core/src/threaded.rs",
             ]),
             decode_markers: v(&["decode", "parse", "from_bytes", "from_wire"]),
             skip: v(&[

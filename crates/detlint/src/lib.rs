@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 
 pub use config::{parse_config, Config};
 pub use engine::{analyze, FileReport, Finding};
-pub use report::{render_weld_map, weld_map_count, Stats};
+pub use report::{render_weld_map, weld_map_count, weld_map_inventory, Stats};
 pub use weld::Weld;
 
 use symbols::{SourceFile, SymbolTable};

@@ -104,6 +104,27 @@ pub fn weld_map_count(json: &str) -> Option<usize> {
     digits.parse().ok()
 }
 
+/// The weld-map inventory: its entries with the line numbers blanked,
+/// sorted. An edit that only shifts lines leaves it unchanged; a weld
+/// added, removed, re-suppressed or moved to another fn changes it.
+/// Like [`weld_map_count`], it relies on the one-entry-per-line layout
+/// [`render_weld_map`] writes.
+pub fn weld_map_inventory(json: &str) -> Vec<String> {
+    let mut entries: Vec<String> = json
+        .lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with("{\"fn\""))
+        .map(|l| match l.split_once("\"line\": ") {
+            Some((head, tail)) => {
+                format!("{head}{}", tail.trim_start_matches(|c: char| c.is_ascii_digit()))
+            }
+            None => l.to_string(),
+        })
+        .collect();
+    entries.sort();
+    entries
+}
+
 fn digits(mut n: u32) -> usize {
     let mut d = 1;
     while n >= 10 {

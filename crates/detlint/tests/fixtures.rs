@@ -267,24 +267,72 @@ fn live_workspace_is_clean() {
     );
 }
 
-/// The committed `results/weld_map.json` must match what the tree
-/// actually produces — it is the sans-IO work-list and the CI
-/// ratchet's baseline, so drift in either direction is a failure.
+/// Whether a committed weld map still pins `welds`: the same entries,
+/// line numbers ignored.
+fn weld_map_pins(committed: &str, welds: &[detlint::Weld]) -> bool {
+    detlint::weld_map_inventory(committed)
+        == detlint::weld_map_inventory(&detlint::render_weld_map(welds))
+}
+
+/// The committed `results/weld_map.json` must match the welds the tree
+/// actually produces — it is the CI ratchet's baseline, so drift in
+/// either direction is a failure. Welds are compared on everything but
+/// their line, which the map records for the reader only.
 /// Regenerate with `cargo run -p detlint -- --weld-map results/weld_map.json`.
 #[test]
 fn committed_weld_map_is_current() {
     let root = workspace_root();
     let config = detlint::load_config(&root).expect("detlint.toml loads");
     let scan = detlint::scan_workspace(&root, &config).expect("workspace scans");
-    let rendered = detlint::render_weld_map(&scan.welds);
     let committed = std::fs::read_to_string(root.join("results/weld_map.json"))
         .expect("results/weld_map.json is committed");
     assert_eq!(
-        rendered.trim(),
-        committed.trim(),
+        detlint::weld_map_inventory(&committed),
+        detlint::weld_map_inventory(&detlint::render_weld_map(&scan.welds)),
         "results/weld_map.json is stale; regenerate with \
          `cargo run -p detlint -- --weld-map results/weld_map.json`"
     );
     let count = detlint::weld_map_count(&committed).expect("weld map carries a count");
     assert_eq!(count, scan.welds.len(), "committed count must match the weld list");
+}
+
+/// The pin tracks the weld inventory, not line numbers: shifting lines
+/// keeps a map current, while adding a weld, removing one or moving one
+/// to another fn stales it.
+#[test]
+fn weld_map_pin_tracks_inventory_not_lines() {
+    const CORE: &str = "fixtures/weld/core.rs";
+    let src = fixture_src(CORE);
+    let welds_of = |core_src: String| {
+        let config = parse_config(WELD_TOML, Config::default()).expect("weld config parses");
+        let sources = [
+            (CORE.to_string(), core_src),
+            ("fixtures/weld/facade.rs".to_string(), fixture_src("fixtures/weld/facade.rs")),
+        ];
+        detlint::scan_sources(&sources, &config).welds
+    };
+    let base = welds_of(src.clone());
+    let committed = detlint::render_weld_map(&base);
+    assert!(weld_map_pins(&committed, &base));
+
+    let shifted =
+        welds_of(src.replacen("use std::time::Instant;", "\n\nuse std::time::Instant;", 1));
+    assert_ne!(shifted[0].line, base[0].line, "the edit must move lines");
+    assert!(weld_map_pins(&committed, &shifted), "a line shift alone must not stale the map");
+
+    let added =
+        welds_of(format!("{src}\npub fn extra_clock() -> Instant {{\n    Instant::now()\n}}\n"));
+    assert!(!weld_map_pins(&committed, &added), "an added weld must stale the map");
+
+    let removed = welds_of(src.replacen(
+        "    std::thread::sleep(std::time::Duration::from_millis(1));\n",
+        "",
+        1,
+    ));
+    assert!(removed.len() < base.len(), "the edit must remove a weld");
+    assert!(!weld_map_pins(&committed, &removed), "a removed weld must stale the map");
+
+    let moved = welds_of(src.replace("read_clock", "read_wall_clock"));
+    assert_eq!(moved.len(), base.len());
+    assert!(!weld_map_pins(&committed, &moved), "a weld moved to another fn must stale the map");
 }
