@@ -26,6 +26,8 @@
 
 use std::sync::Arc;
 
+use dynastar_bench::args::{self, Args};
+use dynastar_bench::record::{Obj, Record};
 use dynastar_bench::report::print_table;
 use dynastar_bench::setup::{chirper_cluster, ChirperSetup};
 use dynastar_core::metric_names as mn;
@@ -64,7 +66,7 @@ fn run_batched(
     let mut setup = ChirperSetup::new(partitions, mode);
     setup.users = sz.users;
     setup.follows_per_user = sz.attach;
-    setup.batch = batch;
+    setup.cluster.batch = batch;
     let (mut cluster, graph) = chirper_cluster(&setup);
     for _ in 0..clients {
         cluster.add_client(ChirperWorkload::new(Arc::clone(&graph), 0.95, mix));
@@ -85,79 +87,55 @@ fn run(partitions: u32, mode: Mode, mix: ChirperMix, clients: usize, sz: &Sizing
     run_batched(partitions, mode, mix, clients, BatchConfig::UNBATCHED, sz)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig4_social_throughput [--users N] [--attach M] [--max-parts N]\n\
-         \x20                             [--full] [--smoke] [--out FILE] [--batch-sweep]\n\
-         \n\
-         --users N      social graph size                     [2000]\n\
-         --attach M     Barabási–Albert attachment degree     [6]\n\
-         --max-parts N  sweep partitions 1,2,4,8,16 up to N   [4]\n\
-         --full         paper profile: 456000 users, 16 partitions\n\
-         --workload W   timeline | mix | both                 [both]\n\
-         --smoke        shortened windows, peak throughput only\n\
-         --out FILE     write machine-readable JSON\n\
-         --batch-sweep  append the ordering-batch-size sweep\n\
-         \n\
-         at 100k+ users, BA hubs have thousands of followers, so every\n\
-         post in the mix workload is a huge multi-key command — sweep\n\
-         paper-scale graphs with --workload timeline"
-    );
-    std::process::exit(2)
-}
+const USAGE: &str = "\
+usage: fig4_social_throughput [--users N] [--attach M] [--max-parts N]
+                              [--full] [--smoke] [--out FILE] [--batch-sweep]
+
+--users N      social graph size                     [2000]
+--attach M     Barabási–Albert attachment degree     [6]
+--max-parts N  sweep partitions 1,2,4,8,16 up to N   [4]
+--full         paper profile: 456000 users, 16 partitions
+--workload W   timeline | mix | both                 [both]
+--smoke        shortened windows, peak throughput only
+--out FILE     write machine-readable JSON
+--batch-sweep  append the ordering-batch-size sweep
+
+at 100k+ users, BA hubs have thousands of followers, so every
+post in the mix workload is a huge multi-key command — sweep
+paper-scale graphs with --workload timeline";
 
 fn main() {
-    let mut smoke = false;
-    let mut full = false;
-    let mut batch_sweep = false;
-    let mut users: usize = 2_000;
-    let mut attach: usize = 6;
-    let mut max_parts: u32 = 4;
-    let mut workload = "both".to_string();
-    let mut out_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--full" => full = true,
-            "--batch-sweep" => batch_sweep = true,
-            "--users" => users = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()),
-            "--attach" => {
-                attach = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--max-parts" => {
-                max_parts = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--workload" => workload = it.next().cloned().unwrap_or_else(|| usage()),
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-    if full {
+    let flags = &["users", "attach", "max-parts", "workload", "out"];
+    args::run(USAGE, flags, &["smoke", "full", "batch-sweep"], report);
+}
+
+fn report(a: &Args) -> Result<(), String> {
+    let smoke = a.has("smoke");
+    let mut users: usize = a.num_or("users", 2_000)?;
+    let mut max_parts: u32 = a.num_or("max-parts", 4)?;
+    if a.has("full") {
         users = 456_000;
         max_parts = max_parts.max(16);
     }
-    let sz = Sizing {
-        users,
-        attach,
-        warmup: if smoke { 1 } else { 3 },
-        measure: if smoke { 2 } else { 6 },
-    };
-    let sweep: Vec<u32> = [1u32, 2, 4, 8, 16].into_iter().filter(|&k| k <= max_parts).collect();
-
-    println!("Figure 4 — Chirper throughput and latency vs partitions ({users} users)\n");
-    let mut json = String::from("{\n  \"runs\": [\n");
-    let mut first_json = true;
-    let workloads: Vec<(&str, &str, ChirperMix)> = match workload.as_str() {
+    let workloads: Vec<(&str, &str, ChirperMix)> = match a.str_or("workload", "both").as_str() {
         "timeline" => vec![("timeline-only", "timeline", ChirperMix::TIMELINE_ONLY)],
         "mix" => vec![("mix 85/15", "mix", ChirperMix::MIX)],
         "both" => vec![
             ("timeline-only", "timeline", ChirperMix::TIMELINE_ONLY),
             ("mix 85/15", "mix", ChirperMix::MIX),
         ],
-        _ => usage(),
+        other => return Err(format!("unknown workload {other:?}")),
     };
+    let sz = Sizing {
+        users,
+        attach: a.num_or("attach", 6)?,
+        warmup: if smoke { 1 } else { 3 },
+        measure: if smoke { 2 } else { 6 },
+    };
+    let sweep: Vec<u32> = [1u32, 2, 4, 8, 16].into_iter().filter(|&k| k <= max_parts).collect();
+
+    println!("Figure 4 — Chirper throughput and latency vs partitions ({users} users)\n");
+    let mut runs = Vec::new();
     for (label, slug, mix) in workloads {
         println!("== workload: {label} ==");
         // Each (partitions, mode) point is an independent deterministic
@@ -191,15 +169,14 @@ fn main() {
                 fmt_lat(&lats[2 * i]),
                 fmt_lat(&lats[2 * i + 1]),
             ]);
-            if !first_json {
-                json.push_str(",\n");
-            }
-            first_json = false;
-            json.push_str(&format!(
-                "    {{\"workload\": \"{slug}\", \"partitions\": {k}, \"users\": {users}, \
-                 \"dynastar_cps\": {:.0}, \"ssmr_cps\": {:.0}}}",
-                peak_dyn.tput, peak_ssmr.tput
-            ));
+            runs.push(
+                Obj::new()
+                    .text("workload", slug)
+                    .raw("partitions", k)
+                    .raw("users", users)
+                    .num("dynastar_cps", peak_dyn.tput, 0)
+                    .num("ssmr_cps", peak_ssmr.tput, 0),
+            );
         }
         print_table(
             &[
@@ -213,17 +190,15 @@ fn main() {
         );
         println!();
     }
-    json.push_str("\n  ]\n}\n");
     println!("paper shape: timeline-only scales for both; mix flattens at high partition counts.");
-    if let Some(path) = out_path {
-        std::fs::write(&path, json).expect("write fig4 json");
-        println!("wrote {path}");
+    if let Some(path) = a.get("out") {
+        Record::new("runs", runs).write(path);
     }
 
     // Optional extra: ordering-batch-size sweep (pass --batch-sweep).
     // Window pinned to one in-flight instance per leader so `max_batch` is
     // the only variable; see `probe_batching` for the asserted version.
-    if batch_sweep {
+    if a.has("batch-sweep") {
         println!("\n== batch-size sweep (DynaStar, mix 85/15, 4 partitions, window 1) ==");
         let mut rows = Vec::new();
         for &mb in &[1usize, 4, 8, 16] {
@@ -238,4 +213,5 @@ fn main() {
         }
         print_table(&["max_batch", "cps", "ms avg/p95"], &rows);
     }
+    Ok(())
 }

@@ -39,12 +39,12 @@ fn run(mode: Mode) -> SeriesSet {
 
 fn run_batched(mode: Mode, batch: BatchConfig) -> SeriesSet {
     let mut setup = ChirperSetup::new(PARTITIONS, mode);
-    setup.batch = batch;
+    setup.cluster.batch = batch;
     if mode == Mode::Dynastar {
         // Repartition when enough workload change accumulates, at most
         // every 50 s (first fix ~50 s, celebrity adaptation ~250 s).
-        setup.repartition_threshold = 6_000;
-        setup.min_plan_interval = dynastar_runtime::SimDuration::from_secs(25);
+        setup.cluster.repartition_threshold = 6_000;
+        setup.cluster.min_plan_interval = dynastar_runtime::SimDuration::from_secs(25);
     }
     let (mut cluster, graph) = chirper_cluster(&setup);
     // The "new celebrity": an existing, unremarkable user who suddenly

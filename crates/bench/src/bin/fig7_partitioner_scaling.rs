@@ -19,6 +19,8 @@
 
 use std::time::Instant;
 
+use dynastar_bench::args;
+use dynastar_bench::record::{self, Obj, Record};
 use dynastar_bench::report::print_table;
 use dynastar_partitioner::{partition, partition_from, GraphBuilder, PartitionConfig};
 use rand::rngs::StdRng;
@@ -111,81 +113,51 @@ fn run_point(n: u32) -> Point {
     }
 }
 
-/// Renders results as the flat JSON the CI gate and EXPERIMENTS.md consume
-/// (hand-rolled like `probe_perf`: every value is a number, nothing to
-/// escape). The `before` block records the pre-rewrite timings from the
-/// committed fig7 sweep so the record carries its own before/after story.
-fn to_json(points: &[Point]) -> String {
-    let mut out = String::from("{\n  \"runs\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"vertices\": {}, \"edges\": {}, \"k\": {K}, \"secs\": {:.3}, \
-             \"warm_secs\": {:.3}, \"edge_cut\": {}, \"warm_cut\": {}, \"balance\": {:.3}, \
-             \"elements_per_sec\": {:.0}}}{}\n",
-            p.vertices,
-            p.edges,
-            p.secs,
-            p.warm_secs,
-            p.edge_cut,
-            p.warm_cut,
-            p.balance,
-            p.elements_per_sec,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
+/// Pre-rewrite full-sweep seconds of the committed fig7 sweep.
+const BEFORE: &str = "{\"note\": \"pre-rewrite full-sweep seconds (BTreeMap frontier/refine, \
+    builder contraction)\", \"secs_10k\": 0.329, \"secs_30k\": 1.012, \"secs_100k\": 4.803, \
+    \"secs_300k\": 123.520, \"secs_1m\": 236.229}";
+
+/// The run record the CI gate and EXPERIMENTS.md consume. The `before`
+/// block records the pre-rewrite timings from the committed fig7 sweep so
+/// the record carries its own before/after story.
+fn record(points: &[Point]) -> Record {
+    let rows = points
+        .iter()
+        .map(|p| {
+            Obj::new()
+                .raw("vertices", p.vertices)
+                .raw("edges", p.edges)
+                .raw("k", K)
+                .num("secs", p.secs, 3)
+                .num("warm_secs", p.warm_secs, 3)
+                .raw("edge_cut", p.edge_cut)
+                .raw("warm_cut", p.warm_cut)
+                .num("balance", p.balance, 3)
+                .num("elements_per_sec", p.elements_per_sec, 0)
+        })
+        .collect();
     let best = points.iter().map(|p| p.elements_per_sec).fold(0.0f64, f64::max);
-    out.push_str(&format!("  \"best_elements_per_sec\": {best:.0},\n"));
-    out.push_str(
-        "  \"before\": {\"note\": \"pre-rewrite full-sweep seconds (BTreeMap frontier/refine, \
-         builder contraction)\", \"secs_10k\": 0.329, \"secs_30k\": 1.012, \"secs_100k\": 4.803, \
-         \"secs_300k\": 123.520, \"secs_1m\": 236.229}\n",
-    );
-    out.push_str("}\n");
-    out
+    let mut rec = Record::new("runs", rows);
+    rec.summary = Obj::new().num("best_elements_per_sec", best, 0).raw("before", BEFORE);
+    rec
 }
 
-/// Pulls the `elements_per_sec` of the baseline run with `vertices` out of
-/// a baseline JSON without a JSON parser — the file is generated by
-/// [`to_json`], so each run is one line and the keys appear in a fixed
-/// order with `vertices` first.
-fn parse_baseline_eps(json: &str, vertices: u32) -> Option<f64> {
-    let idx = json.find(&format!("\"vertices\": {vertices},"))?;
-    let line = json[idx..].lines().next()?;
-    let key = line.find("\"elements_per_sec\"")?;
-    let rest = &line[key..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find(['}', ','])?;
-    tail[..end].trim().parse().ok()
-}
+const USAGE: &str = "\
+usage: fig7_partitioner_scaling [--smoke] [--out FILE] [--check-against FILE]
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig7_partitioner_scaling [--smoke] [--out FILE] [--check-against FILE]\n\
-         \n\
-         --smoke              only the seeded 100k-vertex point (CI gate workload)\n\
-         --out FILE           write machine-readable BENCH_partitioner.json\n\
-         --check-against FILE exit 1 if elements/s fell >30% below the baseline file"
-    );
-    std::process::exit(2)
-}
+--smoke              only the seeded 100k-vertex point (CI gate workload)
+--out FILE           write machine-readable BENCH_partitioner.json
+--check-against FILE exit 1 if elements/s fell >30% below the baseline file";
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--check-against" => check_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
+    args::run(USAGE, &["out", "check-against"], &["smoke"], |a| {
+        run(a.has("smoke"), a.get("out"), a.get("check-against"));
+        Ok(())
+    })
+}
 
+fn run(smoke: bool, out: Option<&str>, check: Option<&str>) {
     let sizes: &[u32] =
         if smoke { &[100_000] } else { &[10_000, 30_000, 100_000, 300_000, 1_000_000] };
     println!("Figure 7 — multilevel partitioner CPU and memory scaling (k = {K})\n");
@@ -227,36 +199,18 @@ fn main() {
     println!("(each 3.3x size step should cost ~3-4x time; balance stays <= 1.2;");
     println!("warm(s) is the incremental partition_from path on a ~5%-perturbed plan).");
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, to_json(&points)).expect("write BENCH_partitioner.json");
-        println!("wrote {path}");
+    if let Some(path) = out {
+        record(&points).write(path);
     }
-    if let Some(path) = check_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
+    if let Some(path) = check {
         // Compare each swept size against the *same size* in the baseline —
         // elements/s falls with graph size (cache pressure), so comparing a
         // smoke point against the baseline's best would mix sizes and
         // leave almost no noise headroom.
-        let mut failed = false;
-        for p in &points {
-            let Some(base) = parse_baseline_eps(&baseline, p.vertices) else {
-                println!("partitioner gate: no |V|={} baseline in {path}, skipped", p.vertices);
-                continue;
-            };
-            let floor = base * 0.70;
-            let verdict = if p.elements_per_sec < floor { "FAILED" } else { "ok" };
-            println!(
-                "partitioner gate |V|={}: current {:.0} elems/s vs baseline {base:.0} \
-                 (floor {floor:.0}) {verdict}",
-                p.vertices, p.elements_per_sec
-            );
-            failed |= p.elements_per_sec < floor;
-        }
-        if failed {
-            eprintln!("partitioner gate FAILED: elements/s regressed more than 30% below baseline");
-            std::process::exit(1);
-        }
-        println!("partitioner gate passed");
+        let cells = points.iter().map(|p| {
+            let row = format!("\"vertices\": {},", p.vertices);
+            (format!("|V|={}", p.vertices), row, p.elements_per_sec)
+        });
+        record::check_against(path, "partitioner", "elems/s", "elements_per_sec", cells);
     }
 }

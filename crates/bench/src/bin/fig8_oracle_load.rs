@@ -29,6 +29,8 @@
 
 use std::sync::Arc;
 
+use dynastar_bench::args;
+use dynastar_bench::record::{self, Obj, Record};
 use dynastar_bench::report::print_table;
 use dynastar_bench::setup::{chirper_cluster, ChirperSetup, Placement};
 use dynastar_core::metric_names as mn;
@@ -71,14 +73,15 @@ struct Timeline {
 /// the serialization points being scaled.
 fn run_sweep_point(shards: u32, warmup: u64, measure: u64) -> SweepPoint {
     let mut setup = ChirperSetup::new(SWEEP_PARTITIONS, Mode::Dynastar);
-    setup.oracle_shards = shards;
-    setup.client_location_cache = false;
-    setup.warm_client_caches = false;
+    setup.cluster.oracle_shards = shards;
+    setup.cluster.client_location_cache = false;
+    setup.cluster.warm_client_caches = false;
     // Oracle leaders pinned to one in-flight instance (the serialization
     // point under test); partition ordering keeps the unbounded default
     // so it never binds first.
-    setup.oracle_batch = Some(BatchConfig { max_batch: 1, max_batch_delay_ticks: 0, window: 1 });
-    setup.min_plan_interval = SimDuration::from_secs(warmup.max(2));
+    setup.cluster.oracle_batch =
+        Some(BatchConfig { max_batch: 1, max_batch_delay_ticks: 0, window: 1 });
+    setup.cluster.min_plan_interval = SimDuration::from_secs(warmup.max(2));
     let (mut cluster, graph) = chirper_cluster(&setup);
     for _ in 0..SWEEP_CLIENTS {
         cluster.add_client(ChirperWorkload::new(Arc::clone(&graph), 0.95, ChirperMix::MIX));
@@ -117,9 +120,9 @@ fn run_timeline(secs: u64) -> Timeline {
     // Cold clients + a random start that the mid-run repartitioning will
     // fix: the plan is what invalidates the refilled caches.
     setup.placement = Placement::Random;
-    setup.warm_client_caches = false;
-    setup.repartition_threshold = 10_000;
-    setup.min_plan_interval = SimDuration::from_secs(secs * 4 / 9);
+    setup.cluster.warm_client_caches = false;
+    setup.cluster.repartition_threshold = 10_000;
+    setup.cluster.min_plan_interval = SimDuration::from_secs(secs * 4 / 9);
     let (mut cluster, graph) = chirper_cluster(&setup);
     for _ in 0..6 {
         cluster.add_client(ChirperWorkload::new(Arc::clone(&graph), 0.95, ChirperMix::MIX));
@@ -168,75 +171,48 @@ fn run_timeline(secs: u64) -> Timeline {
     }
 }
 
-/// Renders results as the flat JSON the CI gate and EXPERIMENTS.md
-/// consume (hand-rolled like `probe_perf`: every value is a number,
-/// nothing to escape).
-fn to_json(points: &[SweepPoint], tl: &Timeline) -> String {
-    let mut out = String::from("{\n  \"sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"queries_per_sec\": {:.0}, \"cmds_per_sec\": {:.0}, \
-             \"cut_frac\": {:.4}, \"plans\": {}}}{}\n",
-            p.shards,
-            p.queries_per_sec,
-            p.cmds_per_sec,
-            p.cut_frac,
-            p.plans,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
+/// The run record the CI gate and EXPERIMENTS.md consume.
+fn record(points: &[SweepPoint], tl: &Timeline) -> Record {
+    let rows = points
+        .iter()
+        .map(|p| {
+            Obj::new()
+                .raw("shards", p.shards)
+                .num("queries_per_sec", p.queries_per_sec, 0)
+                .num("cmds_per_sec", p.cmds_per_sec, 0)
+                .num("cut_frac", p.cut_frac, 4)
+                .raw("plans", p.plans)
+        })
+        .collect();
     let base = points.first().map(|p| p.queries_per_sec).unwrap_or(0.0);
     let last = points.last().map(|p| p.queries_per_sec).unwrap_or(0.0);
-    out.push_str(&format!("  \"speedup_max_shards\": {:.2},\n", last / base.max(1.0)));
-    out.push_str(&format!(
-        "  \"timeline\": {{\"cold_qps\": {:.0}, \"steady_qps\": {:.0}, \
-         \"cold_miss_rate\": {:.2}, \"steady_miss_rate\": {:.2}, \"plans\": {}}}\n",
-        tl.cold_qps, tl.steady_qps, tl.cold_miss, tl.steady_miss, tl.plans
-    ));
-    out.push_str("}\n");
-    out
+    let timeline = Obj::new()
+        .num("cold_qps", tl.cold_qps, 0)
+        .num("steady_qps", tl.steady_qps, 0)
+        .num("cold_miss_rate", tl.cold_miss, 2)
+        .num("steady_miss_rate", tl.steady_miss, 2)
+        .raw("plans", tl.plans);
+    let mut rec = Record::new("sweep", rows);
+    rec.summary =
+        Obj::new().num("speedup_max_shards", last / base.max(1.0), 2).raw("timeline", timeline);
+    rec
 }
 
-/// Pulls the baseline queries/s for `shards` out of a [`to_json`] file
-/// without a JSON parser — each sweep run is one line with `shards`
-/// first, exactly like fig7's baseline format.
-fn parse_baseline_qps(json: &str, shards: u32) -> Option<f64> {
-    let idx = json.find(&format!("\"shards\": {shards},"))?;
-    let line = json[idx..].lines().next()?;
-    let key = line.find("\"queries_per_sec\"")?;
-    let rest = &line[key..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find(['}', ','])?;
-    tail[..end].trim().parse().ok()
-}
+const USAGE: &str = "\
+usage: fig8_oracle_load [--smoke] [--out FILE] [--check-against FILE]
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig8_oracle_load [--smoke] [--out FILE] [--check-against FILE]\n\
-         \n\
-         --smoke              shortened windows (CI gate workload)\n\
-         --out FILE           write machine-readable BENCH_oracle.json\n\
-         --check-against FILE exit 1 if queries/s fell >30% below the baseline file"
-    );
-    std::process::exit(2)
-}
+--smoke              shortened windows (CI gate workload)
+--out FILE           write machine-readable BENCH_oracle.json
+--check-against FILE exit 1 if queries/s fell >30% below the baseline file";
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--check-against" => check_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
+    args::run(USAGE, &["out", "check-against"], &["smoke"], |a| {
+        run(a.has("smoke"), a.get("out"), a.get("check-against"));
+        Ok(())
+    })
+}
+
+fn run(smoke: bool, out: Option<&str>, check: Option<&str>) {
     let (warmup, measure, tl_secs) = if smoke { (2, 4, 18) } else { (5, 10, 90) };
 
     println!("Figure 8 — oracle query throughput (social network)\n");
@@ -289,32 +265,14 @@ fn main() {
     println!("\npaper shape: a cold spike while caches fill, decay toward zero,");
     println!("a second spike right after the repartitioning invalidates entries.");
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, to_json(&points, &tl)).expect("write BENCH_oracle.json");
-        println!("wrote {path}");
+    if let Some(path) = out {
+        record(&points, &tl).write(path);
     }
-    if let Some(path) = check_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let mut failed = false;
-        for p in &points {
-            let Some(base) = parse_baseline_qps(&baseline, p.shards) else {
-                println!("oracle gate: no {}-shard baseline in {path}, skipped", p.shards);
-                continue;
-            };
-            let floor = base * 0.70;
-            let verdict = if p.queries_per_sec < floor { "FAILED" } else { "ok" };
-            println!(
-                "oracle gate O={}: current {:.0} queries/s vs baseline {base:.0} \
-                 (floor {floor:.0}) {verdict}",
-                p.shards, p.queries_per_sec
-            );
-            failed |= p.queries_per_sec < floor;
-        }
-        if failed {
-            eprintln!("oracle gate FAILED: queries/s regressed more than 30% below baseline");
-            std::process::exit(1);
-        }
-        println!("oracle gate passed");
+    if let Some(path) = check {
+        let cells = points.iter().map(|p| {
+            let row = format!("\"shards\": {},", p.shards);
+            (format!("O={}", p.shards), row, p.queries_per_sec)
+        });
+        record::check_against(path, "oracle", "queries/s", "queries_per_sec", cells);
     }
 }

@@ -5,113 +5,27 @@
 //! including the transport's `dropped_sends` and FIFO reorder-drop
 //! tallies — as flat JSON, so lossy-fabric runs are comparable across
 //! revisions.
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-
+use dynastar_bench::args;
+use dynastar_bench::record::{Obj, Record};
+use dynastar_bench::scenarios::Load;
 use dynastar_core::metric_names as mn;
-use dynastar_core::{
-    Application, ClusterBuilder, ClusterConfig, Command, CommandKind, LocKey, Mode, PartitionId,
-    VarId, Workload,
-};
-use dynastar_runtime::{LatencyModel, NetConfig, SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::Rng;
-
-struct Counters;
-impl Application for Counters {
-    type Op = i64;
-    type Value = i64;
-    type Reply = i64;
-    fn locality(var: VarId) -> LocKey {
-        LocKey(var.0)
-    }
-    fn execute(op: &i64, vars: &mut BTreeMap<VarId, Option<i64>>) -> i64 {
-        let mut last = 0;
-        for v in vars.values_mut() {
-            last = v.unwrap_or(0) + op;
-            *v = Some(last);
-        }
-        last
-    }
-}
-
-struct Load {
-    vars: u64,
-    remaining: u32,
-    multi_pct: u32,
-    completed: Arc<Mutex<u32>>,
-}
-
-impl Workload<Counters> for Load {
-    fn next_command(&mut self, _now: SimTime, rng: &mut StdRng) -> Option<CommandKind<Counters>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let a = rng.gen_range(0..self.vars);
-        let mut vars = vec![VarId(a)];
-        if rng.gen_range(0..100u32) < self.multi_pct {
-            let b = (a + 1 + rng.gen_range(0..self.vars - 1)) % self.vars;
-            vars.push(VarId(b));
-        }
-        Some(CommandKind::Access { op: 1, vars })
-    }
-
-    fn on_completed(&mut self, _now: SimTime, _cmd: &Command<Counters>, reply: Option<&i64>) {
-        if reply.is_some() {
-            *self.completed.lock().unwrap() += 1;
-        }
-    }
-}
-
-fn usage() -> ! {
-    eprintln!("usage: probe_lossy [--out FILE]");
-    std::process::exit(2)
-}
+use dynastar_runtime::{LatencyModel, NetConfig, SimDuration};
 
 fn main() {
-    let mut out_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
+    args::run("usage: probe_lossy [--out FILE]", &["out"], &[], |a| {
+        run(a.get("out"));
+        Ok(())
+    })
+}
 
+fn run(out: Option<&str>) {
     let net = NetConfig::default()
         .latency(LatencyModel::Uniform {
             min: SimDuration::from_micros(200),
             max: SimDuration::from_micros(900),
         })
         .loss_probability(0.02);
-    let config = ClusterConfig {
-        partitions: 2,
-        replicas: 3,
-        mode: Mode::Dynastar,
-        seed: 5,
-        net,
-        repartition_threshold: u64::MAX,
-        warm_client_caches: true,
-        client_timeout: SimDuration::from_secs(3),
-        ..ClusterConfig::default()
-    };
-    let mut b = ClusterBuilder::new(config);
-    for v in 0..20u64 {
-        b.place(LocKey(v), PartitionId((v % 2) as u32));
-        b.with_var(VarId(v), 0);
-    }
-    let mut cluster = b.build();
-    let completed = Arc::new(Mutex::new(0));
-    for _ in 0..3 {
-        cluster.add_client(Load {
-            vars: 20,
-            remaining: 40,
-            multi_pct: 30,
-            completed: Arc::clone(&completed),
-        });
-    }
+    let (mut cluster, completed) = Load::cluster(5, 3, 40, |c| c.net = net);
     for slice in 0..12 {
         cluster.run_for(SimDuration::from_secs(10));
         let m = cluster.metrics();
@@ -127,30 +41,19 @@ fn main() {
         );
     }
 
-    if let Some(path) = out_path {
-        // Hand-rolled flat JSON (every value is a number), like fig9's
-        // `to_json`: the transport counters make lossy-fabric runs
-        // comparable across revisions.
+    if let Some(path) = out {
+        // The transport counters make lossy-fabric runs comparable across
+        // revisions.
         let m = cluster.metrics();
-        let fields: &[(&str, u64)] = &[
-            ("completed", u64::from(*completed.lock().unwrap())),
-            ("retries", m.counter(mn::CMD_RETRY)),
-            ("timeouts", m.counter(mn::CMD_TIMEOUT)),
-            ("oracle_queries", m.counter(mn::ORACLE_QUERIES)),
-            ("dropped_sends", m.counter(mn::NET_DROPPED_SENDS)),
-            ("fifo_drops", m.counter(mn::NET_FIFO_DROPS)),
-            ("retransmissions", m.counter(mn::NET_RETRANSMISSIONS)),
-            ("frames_abandoned", m.counter(mn::NET_FRAMES_ABANDONED)),
-        ];
-        let mut json = String::from("{\n");
-        for (i, (name, value)) in fields.iter().enumerate() {
-            json.push_str(&format!(
-                "  \"{name}\": {value}{}\n",
-                if i + 1 < fields.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("}\n");
-        std::fs::write(&path, json).expect("write probe_lossy JSON");
-        println!("wrote {path}");
+        let summary = Obj::new()
+            .raw("completed", *completed.lock().unwrap())
+            .raw("retries", m.counter(mn::CMD_RETRY))
+            .raw("timeouts", m.counter(mn::CMD_TIMEOUT))
+            .raw("oracle_queries", m.counter(mn::ORACLE_QUERIES))
+            .raw("dropped_sends", m.counter(mn::NET_DROPPED_SENDS))
+            .raw("fifo_drops", m.counter(mn::NET_FIFO_DROPS))
+            .raw("retransmissions", m.counter(mn::NET_RETRANSMISSIONS))
+            .raw("frames_abandoned", m.counter(mn::NET_FRAMES_ABANDONED));
+        Record { summary, ..Record::default() }.write(path);
     }
 }

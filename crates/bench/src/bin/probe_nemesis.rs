@@ -5,65 +5,11 @@
 //! recovery and transport counters. The schedule and the run are fully
 //! deterministic: `probe_nemesis [cluster_seed] [nemesis_seed]` prints
 //! identical output on every invocation with the same seeds.
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-
+use dynastar_bench::scenarios::Load;
 use dynastar_core::metric_names as mn;
-use dynastar_core::{
-    Application, ClusterBuilder, ClusterConfig, Command, CommandKind, LocKey, Mode, PartitionId,
-    VarId, Workload,
-};
+use dynastar_core::ExecConfig;
 use dynastar_runtime::nemesis::{FaultKind, NemesisConfig, NemesisPlan};
 use dynastar_runtime::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::Rng;
-
-struct Counters;
-impl Application for Counters {
-    type Op = i64;
-    type Value = i64;
-    type Reply = i64;
-    fn locality(var: VarId) -> LocKey {
-        LocKey(var.0)
-    }
-    fn execute(op: &i64, vars: &mut BTreeMap<VarId, Option<i64>>) -> i64 {
-        let mut last = 0;
-        for v in vars.values_mut() {
-            last = v.unwrap_or(0) + op;
-            *v = Some(last);
-        }
-        last
-    }
-}
-
-struct Load {
-    vars: u64,
-    remaining: u32,
-    multi_pct: u32,
-    completed: Arc<Mutex<u32>>,
-}
-
-impl Workload<Counters> for Load {
-    fn next_command(&mut self, _now: SimTime, rng: &mut StdRng) -> Option<CommandKind<Counters>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let a = rng.gen_range(0..self.vars);
-        let mut vars = vec![VarId(a)];
-        if rng.gen_range(0..100u32) < self.multi_pct {
-            let b = (a + 1 + rng.gen_range(0..self.vars - 1)) % self.vars;
-            vars.push(VarId(b));
-        }
-        Some(CommandKind::Access { op: 1, vars })
-    }
-
-    fn on_completed(&mut self, _now: SimTime, _cmd: &Command<Counters>, reply: Option<&i64>) {
-        if reply.is_some() {
-            *self.completed.lock().unwrap() += 1;
-        }
-    }
-}
 
 fn seed_arg(arg: Option<String>) -> u64 {
     match arg {
@@ -81,34 +27,11 @@ fn main() {
     let cluster_seed = seed_arg(args.next());
     let nemesis_seed = seed_arg(args.next());
 
-    let config = ClusterConfig {
-        partitions: 2,
-        replicas: 3,
-        mode: Mode::Dynastar,
-        seed: cluster_seed,
-        repartition_threshold: u64::MAX,
-        // Modelled per-command CPU keeps traffic in flight while the
-        // fault schedule runs, so faults land on a busy cluster.
-        exec: dynastar_core::ExecConfig::serial(SimDuration::from_millis(200)),
-        warm_client_caches: true,
-        client_timeout: SimDuration::from_secs(3),
-        ..ClusterConfig::default()
-    };
-    let mut b = ClusterBuilder::new(config);
-    for v in 0..20u64 {
-        b.place(LocKey(v), PartitionId((v % 2) as u32));
-        b.with_var(VarId(v), 0);
-    }
-    let mut cluster = b.build();
-    let completed = Arc::new(Mutex::new(0));
-    for _ in 0..4 {
-        cluster.add_client(Load {
-            vars: 20,
-            remaining: 60,
-            multi_pct: 30,
-            completed: Arc::clone(&completed),
-        });
-    }
+    // Modelled per-command CPU keeps traffic in flight while the fault
+    // schedule runs, so faults land on a busy cluster.
+    let (mut cluster, completed) = Load::cluster(cluster_seed, 4, 60, |c| {
+        c.exec = ExecConfig::serial(SimDuration::from_millis(200));
+    });
 
     let cfg = NemesisConfig {
         seed: nemesis_seed,

@@ -27,9 +27,11 @@
 // an unsafe trait impl by definition.
 #![allow(unsafe_code)]
 
+use dynastar_bench::args::{self, mode_name};
+use dynastar_bench::record::{self, Obj, Record};
 use dynastar_bench::setup::{run_parallel, tpcc_cluster, Placement, TpccSetup};
 use dynastar_core::metric_names as mn;
-use dynastar_core::Mode;
+use dynastar_core::{ExecConfig, Mode};
 use dynastar_runtime::SimDuration;
 use dynastar_workloads::tpcc::{self, TpccWorkload};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -104,22 +106,14 @@ struct ProbeResult {
     wall_per_sim_sec: f64,
 }
 
-fn mode_name(m: Mode) -> &'static str {
-    match m {
-        Mode::Dynastar => "dynastar",
-        Mode::SSmr => "ssmr",
-        Mode::DsSmr => "dssmr",
-    }
-}
-
 fn run_probe(cfg: ProbeConfig) -> ProbeResult {
     let mut setup = TpccSetup::new(cfg.partitions, cfg.mode);
     setup.placement = Placement::Random;
-    setup.seed = cfg.seed;
-    setup.exec_workers = cfg.exec_workers;
+    setup.cluster.seed = cfg.seed;
+    setup.cluster.exec = ExecConfig::pool(cfg.exec_workers, setup.cluster.exec.service_time);
     // Throughput probe, not a repartitioning experiment: pinning the
     // threshold keeps the schedule identical across modes being compared.
-    setup.repartition_threshold = u64::MAX;
+    setup.cluster.repartition_threshold = u64::MAX;
     let mut cluster = tpcc_cluster(&setup);
     let tracker = tpcc::order_tracker();
     for w in 0..setup.scale.warehouses {
@@ -148,103 +142,64 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Renders results as the flat JSON the CI gate and EXPERIMENTS.md consume.
-/// Hand-rolled: every value is a number or a bare identifier, so there is
-/// nothing to escape.
-fn to_json(results: &[ProbeResult]) -> String {
-    let mut out = String::from("{\n  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let c = &r.config;
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"partitions\": {}, \"sim_secs\": {}, \"seed\": {}, \
-             \"clients_per_warehouse\": {}, \"exec_workers\": {}, \"events\": {}, \"completed\": {}, \
-             \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \"wall_per_sim_sec\": {:.4}}}{}\n",
-            mode_name(c.mode),
-            c.partitions,
-            c.sim_secs,
-            c.seed,
-            c.clients_per_warehouse,
-            c.exec_workers,
-            r.events,
-            r.completed,
-            r.wall_secs,
-            r.events_per_sec,
-            r.wall_per_sim_sec,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let best = results.iter().map(|r| r.events_per_sec).fold(0.0f64, f64::max);
-    out.push_str(&format!("  \"best_events_per_sec\": {best:.0},\n"));
-    match peak_rss_kb() {
-        Some(kb) => out.push_str(&format!("  \"peak_rss_kb\": {kb}\n")),
-        None => out.push_str("  \"peak_rss_kb\": null\n"),
-    }
-    out.push_str("}\n");
-    out
+/// The run record the CI gate and EXPERIMENTS.md consume.
+fn record(results: &[ProbeResult]) -> Record {
+    let rows = results
+        .iter()
+        .map(|r| {
+            let c = &r.config;
+            Obj::new()
+                .text("mode", mode_name(c.mode))
+                .raw("partitions", c.partitions)
+                .raw("sim_secs", c.sim_secs)
+                .raw("seed", c.seed)
+                .raw("clients_per_warehouse", c.clients_per_warehouse)
+                .raw("exec_workers", c.exec_workers)
+                .raw("events", r.events)
+                .raw("completed", r.completed)
+                .num("wall_secs", r.wall_secs, 3)
+                .num("events_per_sec", r.events_per_sec, 0)
+                .num("wall_per_sim_sec", r.wall_per_sim_sec, 4)
+        })
+        .collect();
+    let mut rec = Record::new("runs", rows);
+    rec.summary = Obj::new()
+        .num("best_events_per_sec", best_events_per_sec(results), 0)
+        .raw("peak_rss_kb", peak_rss_kb().map_or("null".to_string(), |kb| kb.to_string()));
+    rec
 }
 
-/// Pulls `"best_events_per_sec": N` out of a baseline JSON without a JSON
-/// parser — the file is generated by [`to_json`], so the key appears once.
-fn parse_best(json: &str) -> Option<f64> {
-    let idx = json.find("\"best_events_per_sec\"")?;
-    let rest = &json[idx..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail.find([',', '\n', '}'])?;
-    tail[..end].trim().parse().ok()
+fn best_events_per_sec(results: &[ProbeResult]) -> f64 {
+    results.iter().map(|r| r.events_per_sec).fold(0.0f64, f64::max)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: probe_perf [--mode dynastar|ssmr] [--partitions N] [--sim-secs N] [--seed N]\n\
-         \x20                 [--clients N] [--exec-workers N] [--matrix] [--out FILE] [--check-against FILE]\n\
-         \n\
-         --matrix          sweep seeds 1..=3 x modes in parallel, report all points\n\
-         --out FILE        write machine-readable BENCH_perf.json\n\
-         --check-against FILE  exit 1 if events/s fell >30% below the baseline file"
-    );
-    std::process::exit(2)
-}
+const USAGE: &str = "\
+usage: probe_perf [--mode dynastar|ssmr] [--partitions N] [--sim-secs N] [--seed N]
+                  [--clients N] [--exec-workers N] [--matrix] [--out FILE] [--check-against FILE]
+
+--matrix          sweep seeds 1..=3 x modes in parallel, report all points
+--out FILE        write machine-readable BENCH_perf.json
+--check-against FILE  exit 1 if events/s fell >30% below the baseline file";
+
+const FLAGS: &[&str] =
+    &["mode", "partitions", "sim-secs", "seed", "clients", "exec-workers", "out", "check-against"];
 
 fn main() {
-    let mut cfg = ProbeConfig {
-        mode: Mode::Dynastar,
-        partitions: 4,
-        sim_secs: 10,
-        seed: 1,
-        clients_per_warehouse: 6,
-        exec_workers: 1,
-    };
-    let mut matrix = false;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
+    args::run(USAGE, FLAGS, &["matrix"], |a| {
+        let cfg = ProbeConfig {
+            mode: a.mode_or("mode", Mode::Dynastar)?,
+            partitions: a.num_or("partitions", 4)?,
+            sim_secs: a.num_or("sim-secs", 10)?,
+            seed: a.num_or("seed", 1)?,
+            clients_per_warehouse: a.num_or("clients", 6)?,
+            exec_workers: a.num_or("exec-workers", 1)?,
+        };
+        run(cfg, a.has("matrix"), a.get("out"), a.get("check-against"));
+        Ok(())
+    })
+}
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = || it.next().map(String::as_str).unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--mode" => {
-                cfg.mode = match val() {
-                    "dynastar" => Mode::Dynastar,
-                    "ssmr" => Mode::SSmr,
-                    "dssmr" => Mode::DsSmr,
-                    _ => usage(),
-                }
-            }
-            "--partitions" => cfg.partitions = val().parse().unwrap_or_else(|_| usage()),
-            "--sim-secs" => cfg.sim_secs = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--clients" => cfg.clients_per_warehouse = val().parse().unwrap_or_else(|_| usage()),
-            "--exec-workers" => cfg.exec_workers = val().parse().unwrap_or_else(|_| usage()),
-            "--matrix" => matrix = true,
-            "--out" => out_path = Some(val().to_owned()),
-            "--check-against" => check_path = Some(val().to_owned()),
-            _ => usage(),
-        }
-    }
-
+fn run(cfg: ProbeConfig, matrix: bool, out: Option<&str>, check: Option<&str>) {
     let results = if matrix {
         let points: Vec<ProbeConfig> = [Mode::Dynastar, Mode::SSmr]
             .iter()
@@ -285,23 +240,12 @@ fn main() {
         }
     }
 
-    if let Some(path) = out_path {
-        std::fs::write(&path, to_json(&results)).expect("write BENCH_perf.json");
-        println!("wrote {path}");
+    if let Some(path) = out {
+        record(&results).write(path);
     }
-
-    if let Some(path) = check_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let base =
-            parse_best(&baseline).unwrap_or_else(|| panic!("no best_events_per_sec in {path}"));
-        let now = results.iter().map(|r| r.events_per_sec).fold(0.0f64, f64::max);
-        let floor = base * 0.70;
-        println!("perf gate: current {now:.0}/s vs baseline {base:.0}/s (floor {floor:.0}/s)");
-        if now < floor {
-            eprintln!("perf gate FAILED: events/s regressed more than 30% below baseline");
-            std::process::exit(1);
-        }
-        println!("perf gate passed");
+    if let Some(path) = check {
+        let best = best_events_per_sec(&results);
+        let cell = (String::new(), String::new(), best);
+        record::check_against(path, "perf", "events/s", "best_events_per_sec", [cell]);
     }
 }

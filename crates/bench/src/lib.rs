@@ -12,7 +12,10 @@
 
 #![forbid(unsafe_code)]
 
+pub mod args;
+pub mod record;
 pub mod report;
+pub mod scenarios;
 pub mod setup;
 
 pub use report::{print_series, print_table};

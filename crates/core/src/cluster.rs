@@ -27,6 +27,11 @@ use crate::oracle::{OracleConfig, OracleCore};
 use crate::payload::{Destination, Direct, Effect, OracleDest, Payload};
 use crate::server::{ExecConfig, ServerConfig, ServerCore};
 
+/// Multicast/consensus tick interval of every server actor.
+const TICK_INTERVAL: SimDuration = SimDuration::from_millis(1);
+/// Metrics time-series bucket.
+const METRICS_BUCKET: SimDuration = SimDuration::from_secs(1);
+
 /// Timer tags used by the actors.
 mod timer {
     /// Periodic multicast/consensus tick.
@@ -815,7 +820,6 @@ pub struct ServerActor<A: Application> {
     member: McastMember<Arc<Payload<A>>>,
     role: Role<A>,
     wiring: Wiring<A>,
-    tick: SimDuration,
     /// This replica's multicast address (kept for reconstruction).
     me: MemberId,
     topo: Topology,
@@ -841,12 +845,10 @@ impl<A: Application> ServerActor<A> {
     const NEVER_PERSISTED: (Ballot, u64) =
         (Ballot { round: u64::MAX, owner: usize::MAX }, u64::MAX);
 
-    #[allow(clippy::too_many_arguments)]
     fn new(
         member: McastMember<Arc<Payload<A>>>,
         role: Role<A>,
         wiring: Wiring<A>,
-        tick: SimDuration,
         me: MemberId,
         topo: Topology,
         group_cfg: GroupConfig,
@@ -856,7 +858,6 @@ impl<A: Application> ServerActor<A> {
             member,
             role,
             wiring,
-            tick,
             me,
             topo,
             group_cfg,
@@ -1092,7 +1093,7 @@ impl<A: Application> ServerActor<A> {
 
 impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
-        ctx.set_timer(self.tick, timer::TICK);
+        ctx.set_timer(TICK_INTERVAL, timer::TICK);
         self.persist_consensus(ctx);
     }
 
@@ -1128,7 +1129,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
         self.member =
             McastMember::with_group_config(self.me, self.topo.clone(), self.group_cfg.clone());
         self.was_leader = false;
-        ctx.set_timer(self.tick, timer::TICK);
+        ctx.set_timer(TICK_INTERVAL, timer::TICK);
         self.begin_recovery(ctx);
     }
 
@@ -1192,7 +1193,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                     }
                 }
                 self.wiring.maintain(ctx);
-                ctx.set_timer(self.tick, timer::TICK);
+                ctx.set_timer(TICK_INTERVAL, timer::TICK);
             }
             timer::RECOVER if self.recovering => {
                 self.request_snapshots(ctx);
@@ -1385,8 +1386,6 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Network model.
     pub net: NetConfig,
-    /// Multicast/consensus tick interval.
-    pub tick: SimDuration,
     /// Partition server tunables.
     pub server: ServerConfig,
     /// Workload-graph change count that triggers repartitioning.
@@ -1414,8 +1413,6 @@ pub struct ClusterConfig {
     /// Seed client caches with the initial placement (always done for
     /// S-SMR, whose map is static).
     pub warm_client_caches: bool,
-    /// Metrics time-series bucket.
-    pub metrics_bucket: SimDuration,
     /// Leader-side command batching / instance pipelining, applied to
     /// every consensus group (partitions and oracle alike, unless
     /// [`ClusterConfig::oracle_batch`] overrides the oracle's). The
@@ -1453,7 +1450,6 @@ impl Default for ClusterConfig {
             mode: Mode::Dynastar,
             seed: 1,
             net: NetConfig::default(),
-            tick: SimDuration::from_millis(1),
             server: ServerConfig::default(),
             repartition_threshold: 2_000,
             min_plan_interval: SimDuration::from_secs(30),
@@ -1462,7 +1458,6 @@ impl Default for ClusterConfig {
             client_timeout: SimDuration::from_secs(10),
             client_retry_backoff: SimDuration::ZERO,
             warm_client_caches: false,
-            metrics_bucket: SimDuration::from_secs(1),
             batch: BatchConfig::UNBATCHED,
             warm_plans: true,
             warm_quality_ratio: 1.1,
@@ -1524,10 +1519,8 @@ impl<A: Application> ClusterBuilder<A> {
         let k = cfg.partitions as usize;
         assert!(cfg.oracle_shards > 0, "cluster needs at least one oracle shard");
         let o = cfg.oracle_shards as usize;
-        let sim_cfg = SimConfig::default()
-            .seed(cfg.seed)
-            .net(cfg.net.clone())
-            .metrics_bucket(cfg.metrics_bucket);
+        let sim_cfg =
+            SimConfig::default().seed(cfg.seed).net(cfg.net.clone()).metrics_bucket(METRICS_BUCKET);
         let mut sim: Simulation<Msg<A>> = Simulation::new(sim_cfg);
 
         let topo = Topology::uniform(k + o, cfg.replicas);
@@ -1585,7 +1578,6 @@ impl<A: Application> ClusterBuilder<A> {
                     McastMember::with_group_config(me, topo.clone(), group_cfg.clone()),
                     Role::Partition(core),
                     Wiring::new(Arc::clone(&routes)),
-                    cfg.tick,
                     me,
                     topo.clone(),
                     group_cfg.clone(),
@@ -1621,7 +1613,6 @@ impl<A: Application> ClusterBuilder<A> {
                     McastMember::with_group_config(me, topo.clone(), oracle_group_cfg.clone()),
                     Role::Oracle(core),
                     Wiring::new(Arc::clone(&routes)),
-                    cfg.tick,
                     me,
                     topo.clone(),
                     oracle_group_cfg.clone(),

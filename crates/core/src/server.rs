@@ -1114,7 +1114,6 @@ impl<A: Application> ServerCore<A> {
             return;
         }
         let received = vars.len() as u64;
-        let _ = received;
         for (v, val) in vars {
             match val {
                 Some(val) => {
