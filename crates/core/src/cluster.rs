@@ -7,7 +7,7 @@
 //! group has the same replica count (the paper gives the oracle the same
 //! resources as every partition).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use dynastar_amcast::{
@@ -809,8 +809,9 @@ fn decode_stable(blob: &[u8]) -> (Ballot, u64) {
 /// Implements the crash-recovery fault model: the promised ballot and the
 /// incarnation epoch live in simulated stable storage; everything else is
 /// volatile. After a restart the actor comes back `recovering` — it
-/// ignores protocol traffic, asks its group peers for state, and installs
-/// once a quorum of [`RecoveryMsg::Response`]s arrived (consensus safety
+/// ignores multicast traffic, holds direct messages for replay, asks its
+/// group peers for state, and installs once a quorum of
+/// [`RecoveryMsg::Response`]s arrived (consensus safety
 /// needs the quorum; see [`dynastar_paxos::RecoveryReport`]). A replica
 /// that falls farther behind than peers retain log for takes the same
 /// state-transfer path without restarting. Groups need ≥ 3 replicas for
@@ -835,6 +836,9 @@ pub struct ServerActor<A: Application> {
     recovering: bool,
     /// Peer state donations collected while recovering.
     recovery_snaps: BTreeMap<NodeId, Donation<A>>,
+    /// Direct messages received while recovering, replayed into the
+    /// installed core (see [`Self::try_install`]).
+    held_directs: Vec<Direct<A>>,
     /// Previous `is_leader()` observation, for the election counter.
     was_leader: bool,
 }
@@ -866,6 +870,7 @@ impl<A: Application> ServerActor<A> {
             persisted: Self::NEVER_PERSISTED,
             recovering: false,
             recovery_snaps: BTreeMap::new(),
+            held_directs: Vec::new(),
             was_leader: false,
         }
     }
@@ -930,6 +935,7 @@ impl<A: Application> ServerActor<A> {
     fn begin_recovery(&mut self, ctx: &mut Ctx<'_, Msg<A>>) {
         self.recovering = true;
         self.recovery_snaps.clear();
+        self.held_directs.clear();
         self.was_leader = false;
         self.request_snapshots(ctx);
         ctx.set_timer(RECOVERY_RETRY, timer::RECOVER);
@@ -1011,6 +1017,15 @@ impl<A: Application> ServerActor<A> {
         ctx.cancel_timer(timer::RECOVER);
         ctx.metrics_mut().incr_counter(metric_names::RECOVERY_COMPLETIONS, 1);
         self.absorb(ctx, out);
+        // Direct messages travel outside the total order, so one that
+        // reached the donor after its snapshot is in no snapshot: dropping
+        // it would leave this replica waiting for it forever (a lender for
+        // its returned variables, a target for its borrowed ones). Replay
+        // every held one; the core's dedup drops those the snapshot
+        // already reflects, and chunks and acks are idempotent.
+        for d in std::mem::take(&mut self.held_directs) {
+            self.handle_direct(ctx, d);
+        }
         self.note_leadership(ctx);
         self.persist_consensus(ctx);
     }
@@ -1018,12 +1033,23 @@ impl<A: Application> ServerActor<A> {
     /// Routes a multicast-layer output: sends wires, feeds deliveries to
     /// the core, and recursively handles the effects.
     fn absorb(&mut self, ctx: &mut Ctx<'_, Msg<A>>, out: McastOutput<Arc<Payload<A>>>) {
-        // Deliveries are in total order — process FIFO.
-        let mut deliveries: std::collections::VecDeque<_> = out.delivered.into();
         for (to, wire) in out.outgoing {
             let node = self.wiring.routes.node_of(to);
             self.wiring.send(ctx, node, Arc::new(Inner::Wire(wire)));
         }
+        self.drain(ctx, Vec::new(), out.delivered.into());
+    }
+
+    /// Applies `effects`, then feeds the core every delivery — those in
+    /// `deliveries` and those the effects' own multicasts produce — in
+    /// total order, applying each delivery's effects in turn.
+    fn drain(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg<A>>,
+        effects: Vec<Effect<A>>,
+        mut deliveries: VecDeque<dynastar_amcast::Delivery<Arc<Payload<A>>>>,
+    ) {
+        self.apply_effects(ctx, effects, &mut deliveries);
         while let Some(d) = deliveries.pop_front() {
             let now = ctx.now();
             let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
@@ -1042,7 +1068,7 @@ impl<A: Application> ServerActor<A> {
         &mut self,
         ctx: &mut Ctx<'_, Msg<A>>,
         effects: Vec<Effect<A>>,
-        deliveries: &mut std::collections::VecDeque<dynastar_amcast::Delivery<Arc<Payload<A>>>>,
+        deliveries: &mut VecDeque<dynastar_amcast::Delivery<Arc<Payload<A>>>>,
     ) {
         for eff in effects {
             match eff {
@@ -1074,20 +1100,7 @@ impl<A: Application> ServerActor<A> {
                 Role::Oracle(core) => core.on_direct(msg, now, metrics),
             }
         };
-        let mut deliveries = std::collections::VecDeque::new();
-        self.apply_effects(ctx, effects, &mut deliveries);
-        while let Some(d) = deliveries.pop_front() {
-            let now = ctx.now();
-            let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
-            let effects = {
-                let metrics = ctx.metrics_mut();
-                match &mut self.role {
-                    Role::Partition(core) => core.on_deliver(payload, now, metrics),
-                    Role::Oracle(core) => core.on_deliver(payload, now, metrics),
-                }
-            };
-            self.apply_effects(ctx, effects, &mut deliveries);
-        }
+        self.drain(ctx, effects, VecDeque::new());
     }
 }
 
@@ -1138,8 +1151,9 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
         for inner in ready {
             match inner {
                 // While recovering the member/core hold placeholder state:
-                // protocol traffic is dropped (the group tolerates it — we
-                // are the faulty minority) and replaced by the snapshot.
+                // multicast traffic is dropped (the group tolerates it — we
+                // are the faulty minority) and replaced by the snapshot;
+                // direct messages are held for replay after install.
                 Inner::Wire(wire) => {
                     if self.recovering {
                         continue;
@@ -1149,9 +1163,10 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                 }
                 Inner::Direct(d) => {
                     if self.recovering {
-                        continue;
+                        self.held_directs.push(d);
+                    } else {
+                        self.handle_direct(ctx, d);
                     }
-                    self.handle_direct(ctx, d);
                 }
                 Inner::Recovery(r) => self.handle_recovery(ctx, from, r),
             }
@@ -1177,11 +1192,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                             Role::Partition(_) => Vec::new(),
                         }
                     };
-                    if !effects.is_empty() {
-                        let mut deliveries = std::collections::VecDeque::new();
-                        self.apply_effects(ctx, effects, &mut deliveries);
-                        debug_assert!(deliveries.is_empty());
-                    }
+                    self.drain(ctx, effects, VecDeque::new());
                     if self.member.needs_state_transfer() {
                         // Fell farther behind than peers retain log for
                         // (e.g. a long partition): only a snapshot can
@@ -1211,20 +1222,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                         Role::Partition(_) => Vec::new(),
                     }
                 };
-                let mut deliveries = std::collections::VecDeque::new();
-                self.apply_effects(ctx, effects, &mut deliveries);
-                while let Some(d) = deliveries.pop_front() {
-                    let now = ctx.now();
-                    let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
-                    let effects = {
-                        let metrics = ctx.metrics_mut();
-                        match &mut self.role {
-                            Role::Partition(core) => core.on_deliver(payload, now, metrics),
-                            Role::Oracle(core) => core.on_deliver(payload, now, metrics),
-                        }
-                    };
-                    self.apply_effects(ctx, effects, &mut deliveries);
-                }
+                self.drain(ctx, effects, VecDeque::new());
             }
             timer::WAKE => {
                 if self.recovering {
@@ -1238,20 +1236,7 @@ impl<A: Application> Actor<Msg<A>> for ServerActor<A> {
                         Role::Oracle(_) => Vec::new(),
                     }
                 };
-                let mut deliveries = std::collections::VecDeque::new();
-                self.apply_effects(ctx, effects, &mut deliveries);
-                while let Some(d) = deliveries.pop_front() {
-                    let now = ctx.now();
-                    let payload = Arc::try_unwrap(d.payload).unwrap_or_else(|a| (*a).clone());
-                    let effects = {
-                        let metrics = ctx.metrics_mut();
-                        match &mut self.role {
-                            Role::Partition(core) => core.on_deliver(payload, now, metrics),
-                            Role::Oracle(core) => core.on_deliver(payload, now, metrics),
-                        }
-                    };
-                    self.apply_effects(ctx, effects, &mut deliveries);
-                }
+                self.drain(ctx, effects, VecDeque::new());
             }
             _ => {}
         }
@@ -1400,8 +1385,6 @@ pub struct ClusterConfig {
     /// (serial, zero service time) models infinite-speed servers; set a
     /// service time to get saturation behaviour and raise `workers` for
     /// conflict-aware parallel execution (see [`ExecConfig`]).
-    /// [`ClusterBuilder::build`] copies this into every replica's
-    /// [`ServerConfig::exec`], overwriting whatever `server.exec` holds.
     pub exec: ExecConfig,
     /// Client response timeout before re-dispatch through the oracle.
     pub client_timeout: SimDuration,
@@ -1570,7 +1553,8 @@ impl<A: Application> ClusterBuilder<A> {
                 let mut core = ServerCore::<A>::new(
                     PartitionId(p as u32),
                     cfg.mode,
-                    ServerConfig { record_metrics: r == 0, exec: cfg.exec, ..cfg.server.clone() },
+                    ServerConfig { record_metrics: r == 0, ..cfg.server.clone() },
+                    cfg.exec,
                 );
                 core.preload(keys_by_part[p].iter().copied(), vars_by_part[p].iter().cloned());
                 let me = MemberId::new(GroupId(p as u32), r);

@@ -41,6 +41,7 @@
 pub mod client;
 pub mod cluster;
 pub mod command;
+pub mod exec;
 pub mod linearizability;
 pub mod metric_names;
 pub mod migration;

@@ -12,18 +12,27 @@
 //! *wait* (for borrowed variables, for migrating keys, for a create/delete
 //! rendezvous) but nothing overtakes it. Atomic multicast's pairwise
 //! consistent delivery order across partitions makes this deadlock-free.
+//!
+//! This module executes commands, lends and returns borrowed variables,
+//! applies plans and moves keys the classic way (one shipment per key).
+//! When the queue head may start is the [execution engine](crate::exec)'s
+//! decision; staged, chunked key transfers are the
+//! [migration engine](crate::migration)'s.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dynastar_amcast::MsgId;
 use dynastar_runtime::dedup::{RotatingMap, RotatingSet};
-use dynastar_runtime::{CounterId, HistogramId, Metrics, SeriesId, SimTime};
+use dynastar_runtime::{CounterId, HistogramId, Metrics, NodeId, SeriesId, SimTime};
 
-use crate::command::{
-    AccessSets, Application, Command, CommandKind, LocKey, Mode, PartitionId, VarId,
-};
+use crate::command::{Application, CommandKind, LocKey, Mode, PartitionId, VarId};
+pub use crate::exec::ExecConfig;
+use crate::exec::ExecScheduler;
 use crate::metric_names as mn;
-use crate::migration::{MoveOutcome, PlanHistory, Settle, PLAN_HISTORY_PER_KEY};
+use crate::migration::{
+    transfer_time, MigrationTally, MoveOutcome, PlanHistory, Settle, StagedMigrations, VarShipment,
+    Vars, PLAN_HISTORY_PER_KEY,
+};
 use crate::payload::{DedupKey, Destination, Direct, Effect, OracleDest, Payload};
 
 /// Emits protocol-stall diagnostics to stderr when the
@@ -42,51 +51,6 @@ fn trace_blocked(args: std::fmt::Arguments<'_>) {
 /// clients use their node id as origin, which stays far below this.
 pub const PARTITION_ORIGIN_BASE: u64 = 1_000_000_000;
 
-/// The modelled parallel-execution engine of one replica: a P-SMR /
-/// CBASE-style worker pool over the delivered command stream.
-///
-/// Commands still *apply* strictly in delivery order on every replica —
-/// parallelism is purely a timing model deciding *when* the queue head is
-/// admitted, so replicas stay bit-identical regardless of `workers` and an
-/// inaccurate [`Application::classify`] can only skew modelled time, never
-/// state. With `workers = 1` the schedule is exactly the classic serial
-/// executor's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Modelled parallel execution workers per replica. `1` reproduces
-    /// the serial executor bit-for-bit (all golden hashes unchanged).
-    pub workers: u32,
-    /// Modelled CPU time per command execution. A worker is busy for this
-    /// long after executing; queued commands wait for a free,
-    /// non-conflicting slot. Zero disables the model entirely (commands
-    /// execute instantaneously). This is what bounds a partition's
-    /// throughput and produces saturation behaviour.
-    pub service_time: dynastar_runtime::SimDuration,
-    /// Sliding dependency-window capacity: how many admitted-but-
-    /// unfinished commands are tracked for conflict decisions. When the
-    /// window is full, admission stalls until the earliest in-flight
-    /// command finishes (counted as `exec.window_stall`).
-    pub window: u32,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig { workers: 1, service_time: dynastar_runtime::SimDuration::ZERO, window: 64 }
-    }
-}
-
-impl ExecConfig {
-    /// The classic serial executor with the given per-command cost.
-    pub fn serial(service_time: dynastar_runtime::SimDuration) -> Self {
-        ExecConfig { service_time, ..Self::default() }
-    }
-
-    /// A pool of `workers` with the given per-command cost.
-    pub fn pool(workers: u32, service_time: dynastar_runtime::SimDuration) -> Self {
-        ExecConfig { workers: workers.max(1), service_time, ..Self::default() }
-    }
-}
-
 /// Tunables for a partition server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -97,11 +61,6 @@ pub struct ServerConfig {
     /// a partition executes every command, so exactly one replica (index
     /// 0) records, or counters would multiply by the replication factor.
     pub record_metrics: bool,
-    /// The modelled execution engine: worker count, per-command cost and
-    /// dependency-window size (see [`ExecConfig`]). In a simulated
-    /// cluster, [`crate::cluster::ClusterBuilder::build`] overwrites this
-    /// with [`crate::cluster::ClusterConfig::exec`]: set that one instead.
-    pub exec: ExecConfig,
     /// Staged migration: plan-triggered key moves ship their variables in
     /// rate-limited, individually acknowledged chunks instead of one
     /// unbounded shipment. Off by default (classic single-shipment path).
@@ -132,7 +91,6 @@ impl Default for ServerConfig {
         ServerConfig {
             hint_batch: 64,
             record_metrics: true,
-            exec: ExecConfig::default(),
             staged_migration: false,
             migration_chunk_vars: 8,
             migration_var_bytes: 512,
@@ -144,33 +102,60 @@ impl Default for ServerConfig {
     }
 }
 
-/// A command queued for in-order execution.
-#[derive(Debug)]
-struct Queued<A: Application> {
-    cmd: Command<A>,
+/// A queued access command: its routing and borrow/exchange progress —
+/// everything but the (generic) operation.
+#[derive(Debug, Clone)]
+struct AccessCmd {
+    id: MsgId,
+    client: NodeId,
     attempt: u32,
-    body: QueuedBody,
+    /// The variables the command declares.
+    vars: Vec<VarId>,
+    /// Where each variable lives, per the dispatcher's routing.
+    expected: Vec<(VarId, PartitionId)>,
+    /// The partition that executes a multi-partition command.
+    target: PartitionId,
+    /// DS-SMR: the target keeps borrowed variables.
+    keep: bool,
+    /// Multi-partition non-target: we shipped our vars and await return.
+    sent_vars: bool,
+    /// S-SMR: we broadcast our exchange share.
+    sent_exchange: bool,
 }
 
-#[derive(Debug)]
-enum QueuedBody {
+impl AccessCmd {
+    /// The distinct partitions the command involves, in id order.
+    fn partitions(&self) -> Vec<PartitionId> {
+        let mut dests: Vec<PartitionId> = self.expected.iter().map(|&(_, p)| p).collect();
+        dests.sort_unstable();
+        dests.dedup();
+        dests
+    }
+}
+
+/// A queued create or delete: its key and oracle-rendezvous progress.
+#[derive(Debug, Clone, Copy)]
+struct KeyCmd {
+    id: MsgId,
+    client: NodeId,
+    key: LocKey,
+    /// This partition's rendezvous signal went to the oracle.
+    signalled: bool,
+}
+
+/// One entry of the in-order execution queue, over the application's
+/// operation and value types.
+#[derive(Clone)]
+enum Queued<Op, V> {
     Access {
-        expected: Vec<(VarId, PartitionId)>,
-        target: PartitionId,
-        keep: bool,
-        /// Multi-partition non-target: we shipped our vars and await return.
-        sent_vars: bool,
-        /// S-SMR: we broadcast our exchange share.
-        sent_exchange: bool,
+        op: Op,
+        cmd: AccessCmd,
     },
     Create {
-        key: LocKey,
-        signalled: bool,
+        vars: Vec<(VarId, V)>,
+        cmd: KeyCmd,
     },
-    Delete {
-        key: LocKey,
-        signalled: bool,
-    },
+    Delete(KeyCmd),
     Plan {
         version: u64,
         moves: Vec<(LocKey, PartitionId, PartitionId)>,
@@ -186,256 +171,33 @@ enum QueuedBody {
     },
 }
 
-// Manual Clone impls (here and below): deriving would bound `A: Clone`,
-// but only `A`'s associated types need to be cloneable.
-impl<A: Application> Clone for Queued<A> {
-    fn clone(&self) -> Self {
-        Queued { cmd: self.cmd.clone(), attempt: self.attempt, body: self.body.clone() }
-    }
+/// A classic key-migration shipment, as [`Direct::PlanVars`] carries it.
+#[derive(Clone)]
+struct Shipment<V> {
+    version: u64,
+    key: LocKey,
+    from: PartitionId,
+    vars: Vars<V>,
+    /// Variables of the key still lent out at the sender; they follow as
+    /// supplements.
+    pending: Vec<VarId>,
+    /// The key's primary shipment, not a supplement.
+    primary: bool,
 }
 
-impl Clone for QueuedBody {
-    fn clone(&self) -> Self {
-        match self {
-            QueuedBody::Access { expected, target, keep, sent_vars, sent_exchange } => {
-                QueuedBody::Access {
-                    expected: expected.clone(),
-                    target: *target,
-                    keep: *keep,
-                    sent_vars: *sent_vars,
-                    sent_exchange: *sent_exchange,
-                }
-            }
-            QueuedBody::Create { key, signalled } => {
-                QueuedBody::Create { key: *key, signalled: *signalled }
-            }
-            QueuedBody::Delete { key, signalled } => {
-                QueuedBody::Delete { key: *key, signalled: *signalled }
-            }
-            QueuedBody::Plan { version, moves } => {
-                QueuedBody::Plan { version: *version, moves: moves.clone() }
-            }
-            QueuedBody::MigrationRevert { version, key } => {
-                QueuedBody::MigrationRevert { version: *version, key: *key }
-            }
-        }
-    }
-}
-
-/// Variables shipped between partitions: `(var, value-or-absent)` pairs.
-type VarShipment<A> = Vec<(VarId, Option<<A as Application>::Value>)>;
 /// Shipments collected per source partition.
 type ShipmentsBySource<A> = BTreeMap<PartitionId, VarShipment<A>>;
 
-/// Origin space for migration-control multicasts ([`Payload::MigrationDone`]
-/// / [`Payload::MigrationRevert`]): every replica at either end of a
-/// migration derives the same id from `(key, version)`, so the multicast
-/// layer delivers one copy. Disjoint from client origins (node ids),
-/// partition hint origins ([`PARTITION_ORIGIN_BASE`]) and the oracle's
-/// plan origin (`u64::MAX - 1`).
-const MIGRATION_ORIGIN_BASE: u64 = 1 << 62;
-/// Derivation tag of [`Payload::MigrationDone`] ids.
-const TAG_MIGRATION_DONE: u32 = 400;
-/// Derivation tag of [`Payload::MigrationRevert`] ids.
-const TAG_MIGRATION_REVERT: u32 = 401;
-
-/// The shared id of a migration-control multicast for `(key, version)`.
-fn migration_mid(key: LocKey, version: u64, tag: u32) -> MsgId {
-    MsgId { origin: MIGRATION_ORIGIN_BASE | key.0, seq: version as u32, tag }
-}
-
-/// Clamps a busy clock forward to `now` and charges `cost` on top — the
-/// single accounting primitive shared by command execution and
-/// migration-transfer time, so the two models can't drift apart.
-fn advance_busy(clock: &mut SimTime, now: SimTime, cost: dynastar_runtime::SimDuration) {
-    if *clock < now {
-        *clock = now;
-    }
-    *clock += cost;
-}
-
-/// The earliest-free worker; ties break to the lowest index so assignment
-/// is a pure function of the clock vector (replica-deterministic).
-fn earliest_free_worker(clocks: &[SimTime]) -> usize {
-    let mut best = 0;
-    for (i, &c) in clocks.iter().enumerate().skip(1) {
-        if c < clocks[best] {
-            best = i;
+/// Writes one variable back to a store: a value is stored, an absent
+/// value removes the variable.
+fn store_put<V>(store: &mut BTreeMap<VarId, V>, var: VarId, val: Option<V>) {
+    match val {
+        Some(val) => {
+            store.insert(var, val);
         }
-    }
-    best
-}
-
-/// One admitted-but-unfinished command in the dependency window.
-#[derive(Debug, Clone)]
-struct WindowEntry {
-    /// Its declared read/write sets (from [`Application::classify`]).
-    sets: AccessSets,
-    /// When its assigned worker finishes it.
-    finish: SimTime,
-}
-
-/// Marks the queue head as stalled by the scheduler so the stall is
-/// counted once per `(cmd, attempt)` at admission, not once per pump.
-#[derive(Debug, Clone, Copy)]
-struct PendingStall {
-    id: MsgId,
-    attempt: u32,
-    /// Gate was raised by a read/write conflict with an in-flight command.
-    conflicted: bool,
-    /// Gate was raised because the dependency window was at capacity.
-    window_full: bool,
-}
-
-/// Modelled parallel-execution state: per-worker busy clocks plus the
-/// sliding dependency window of admitted, unfinished commands.
-///
-/// With one worker the window stays empty and `clocks[0]` behaves exactly
-/// like the old single `busy_until` field.
-#[derive(Debug, Clone)]
-struct ExecScheduler {
-    /// One modelled busy-until clock per worker.
-    clocks: Vec<SimTime>,
-    /// Admitted commands whose modelled execution has not finished.
-    window: VecDeque<WindowEntry>,
-    /// Stall attribution for the current queue head, if any.
-    pending: Option<PendingStall>,
-}
-
-impl ExecScheduler {
-    fn new(workers: u32) -> Self {
-        ExecScheduler {
-            clocks: vec![SimTime::ZERO; workers.max(1) as usize],
-            window: VecDeque::new(),
-            pending: None,
+        None => {
+            store.remove(&var);
         }
-    }
-
-    /// Drops window entries whose modelled execution has finished.
-    fn prune(&mut self, now: SimTime) {
-        self.window.retain(|e| e.finish > now);
-    }
-
-    /// Records (or merges) stall attribution for the queue head.
-    fn note_stall(&mut self, stall: PendingStall) {
-        match &mut self.pending {
-            Some(p) if p.id == stall.id && p.attempt == stall.attempt => {
-                p.conflicted |= stall.conflicted;
-                p.window_full |= stall.window_full;
-            }
-            slot => *slot = Some(stall),
-        }
-    }
-}
-
-/// Modelled wire time of shipping `vars` variables over the migration link.
-fn transfer_time(cfg: &ServerConfig, vars: usize) -> dynastar_runtime::SimDuration {
-    if cfg.migration_link_bytes_per_sec == 0 {
-        return dynastar_runtime::SimDuration::ZERO;
-    }
-    let bytes = (vars as u64).saturating_mul(cfg.migration_var_bytes);
-    dynastar_runtime::SimDuration::from_micros(
-        bytes.saturating_mul(1_000_000) / cfg.migration_link_bytes_per_sec,
-    )
-}
-
-/// Source-side state of one staged key migration (`(version, key)` keyed).
-/// All chunk data is retained until the migration settles, so a revert can
-/// reinstall the key and a retransmit can resend any chunk.
-struct OutboxEntry<A: Application> {
-    /// Destination partition.
-    to: PartitionId,
-    /// The key's variables, pre-split into chunks.
-    chunks: Vec<VarShipment<A>>,
-    /// Per-chunk ack state.
-    acked: Vec<bool>,
-    /// Index of the chunk currently awaiting its ack, if any.
-    in_flight: Option<usize>,
-    /// Consecutive timeouts of the in-flight chunk.
-    attempts: u32,
-    /// Current (exponentially growing, capped) retransmit backoff.
-    backoff: dynastar_runtime::SimDuration,
-    /// When the in-flight chunk times out.
-    deadline: SimTime,
-    /// Rate limit: the next chunk may not ship before this.
-    next_ship_at: SimTime,
-    /// Retries exhausted; a revert has been requested.
-    gave_up: bool,
-    /// Waiting for a per-link in-flight slot; the migration pump skips the
-    /// entry until [`ServerCore::release_link_slot`] promotes it.
-    deferred: bool,
-}
-
-impl<A: Application> Clone for OutboxEntry<A> {
-    fn clone(&self) -> Self {
-        OutboxEntry {
-            to: self.to,
-            chunks: self.chunks.clone(),
-            acked: self.acked.clone(),
-            in_flight: self.in_flight,
-            attempts: self.attempts,
-            backoff: self.backoff,
-            deadline: self.deadline,
-            next_ship_at: self.next_ship_at,
-            gave_up: self.gave_up,
-            deferred: self.deferred,
-        }
-    }
-}
-
-impl<A: Application> std::fmt::Debug for OutboxEntry<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OutboxEntry")
-            .field("to", &self.to)
-            .field("chunks", &self.chunks.len())
-            .field("acked", &self.acked.iter().filter(|&&a| a).count())
-            .field("in_flight", &self.in_flight)
-            .field("attempts", &self.attempts)
-            .field("gave_up", &self.gave_up)
-            .field("deferred", &self.deferred)
-            .finish()
-    }
-}
-
-/// Destination-side buffer of one staged key migration. Chunks accumulate
-/// here (idempotently — retransmits overwrite with identical data) and are
-/// installed only once the matching [`Payload::MigrationDone`] has been
-/// delivered in total order.
-struct StagedKey<A: Application> {
-    /// The old owner.
-    from: PartitionId,
-    /// Total chunk count, learned from the first chunk to arrive (a
-    /// `MigrationDone` can be delivered before any chunk reaches this
-    /// particular replica).
-    total: Option<u32>,
-    /// Received chunks by index.
-    chunks: BTreeMap<u32, VarShipment<A>>,
-    /// The `MigrationDone` for this migration has been delivered.
-    done: bool,
-    /// This replica already submitted the `MigrationDone` multicast.
-    done_requested: bool,
-}
-
-impl<A: Application> Clone for StagedKey<A> {
-    fn clone(&self) -> Self {
-        StagedKey {
-            from: self.from,
-            total: self.total,
-            chunks: self.chunks.clone(),
-            done: self.done,
-            done_requested: self.done_requested,
-        }
-    }
-}
-
-impl<A: Application> std::fmt::Debug for StagedKey<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StagedKey")
-            .field("from", &self.from)
-            .field("total", &self.total)
-            .field("chunks", &self.chunks.len())
-            .field("done", &self.done)
-            .finish()
     }
 }
 
@@ -448,7 +210,7 @@ pub struct ServerCore<A: Application> {
     owned: BTreeSet<LocKey>,
     /// Values physically present.
     store: BTreeMap<VarId, A::Value>,
-    queue: VecDeque<Queued<A>>,
+    queue: VecDeque<Queued<A::Op, A::Value>>,
     /// Receiver-side dedup of direct messages (bounded memory).
     seen: RotatingSet<DedupKey>,
     /// Borrowed variables received per (cmd, attempt), per source partition.
@@ -480,26 +242,16 @@ pub struct ServerCore<A: Application> {
     hint_execs: u32,
     hint_seq: u32,
     /// Key-migration shipments that arrived before the plan they belong
-    /// to was processed here: `(version, key, from, vars, pending, primary)`.
-    #[allow(clippy::type_complexity)]
-    planvars_buffer:
-        Vec<(u64, LocKey, PartitionId, Vec<(VarId, Option<A::Value>)>, Vec<VarId>, bool)>,
-    /// Staged migrations this partition is the source of.
-    outbox: BTreeMap<(u64, LocKey), OutboxEntry<A>>,
-    /// Staged migrations this partition is the destination of.
-    staging: BTreeMap<(u64, LocKey), StagedKey<A>>,
+    /// to was processed here.
+    planvars_buffer: Vec<Shipment<A::Value>>,
+    /// Staged migrations this partition is the source or destination of.
+    staged: StagedMigrations<A::Value>,
     /// Bounded per-key log of plan decisions: `MigrationDone` /
     /// `MigrationRevert` settle by replaying the key's history (a revert of
     /// move v composes with a chained move at v+1), stray chunks for
     /// decided migrations are acked and dropped, and duplicates or
     /// below-floor stragglers are ignored (default-deny).
     history: PlanHistory,
-    /// Per-destination count of staged transfers holding an in-flight slot
-    /// (only maintained when `migration_max_inflight_per_link > 0`).
-    link_active: BTreeMap<PartitionId, u32>,
-    /// Deferred outbox entries per destination, in plan (hottest-first)
-    /// order, promoted as slots free up.
-    link_waiting: BTreeMap<PartitionId, VecDeque<(u64, LocKey)>>,
     /// The modelled execution engine: per-worker busy clocks and the
     /// sliding dependency window (see [`ExecConfig`]).
     exec: ExecScheduler,
@@ -572,11 +324,8 @@ impl<A: Application> Clone for ServerCore<A> {
             hint_execs: self.hint_execs,
             hint_seq: self.hint_seq,
             planvars_buffer: self.planvars_buffer.clone(),
-            outbox: self.outbox.clone(),
-            staging: self.staging.clone(),
+            staged: self.staged.clone(),
             history: self.history.clone(),
-            link_active: self.link_active.clone(),
-            link_waiting: self.link_waiting.clone(),
             exec: self.exec.clone(),
             name_executed: self.name_executed.clone(),
             name_multi: self.name_multi.clone(),
@@ -591,9 +340,10 @@ impl<A: Application> Clone for ServerCore<A> {
 }
 
 impl<A: Application> ServerCore<A> {
-    /// Creates the core of one replica of `partition`.
-    pub fn new(partition: PartitionId, mode: Mode, config: ServerConfig) -> Self {
-        let workers = config.exec.workers.max(1);
+    /// Creates the core of one replica of `partition`, executing on the
+    /// modelled engine `exec`.
+    pub fn new(partition: PartitionId, mode: Mode, config: ServerConfig, exec: ExecConfig) -> Self {
+        let exec = ExecScheduler::new(exec);
         ServerCore {
             partition,
             mode,
@@ -618,16 +368,13 @@ impl<A: Application> ServerCore<A> {
             hint_execs: 0,
             hint_seq: 0,
             planvars_buffer: Vec::new(),
-            outbox: BTreeMap::new(),
-            staging: BTreeMap::new(),
+            staged: StagedMigrations::new(partition),
             history: PlanHistory::new(PLAN_HISTORY_PER_KEY),
-            link_active: BTreeMap::new(),
-            link_waiting: BTreeMap::new(),
-            exec: ExecScheduler::new(workers),
             name_executed: mn::partition_executed(partition.0),
             name_multi: mn::partition_multi(partition.0),
             name_objects: mn::partition_objects(partition.0),
-            name_worker_busy: (0..workers).map(mn::exec_worker_busy).collect(),
+            name_worker_busy: (0..exec.workers() as u32).map(mn::exec_worker_busy).collect(),
+            exec,
             worker_busy_ids: None,
             mids: None,
         }
@@ -738,46 +485,46 @@ impl<A: Application> ServerCore<A> {
         metrics: &mut Metrics,
     ) -> Vec<Effect<A>> {
         let mut eff = Vec::new();
+        // A command payload carries its own command kind by construction;
+        // a mismatched one is malformed and dropped.
         match payload {
             Payload::Access { cmd, attempt, expected, target, keep } => {
-                self.queue.push_back(Queued {
-                    cmd,
-                    attempt,
-                    body: QueuedBody::Access {
-                        expected,
-                        target,
-                        keep,
-                        sent_vars: false,
-                        sent_exchange: false,
-                    },
-                });
-            }
-            Payload::CreateKey { cmd, dest } => {
-                if dest == self.partition {
-                    let key = match &cmd.kind {
-                        CommandKind::CreateKey { key, .. } => *key,
-                        // detlint::allow(P003): constructor pairs CreateKey payloads with CreateKey commands; a mismatch is a local logic bug, not wire input
-                        _ => unreachable!("CreateKey payload without CreateKey command"),
-                    };
-                    self.queue.push_back(Queued {
-                        cmd,
-                        attempt: 0,
-                        body: QueuedBody::Create { key, signalled: false },
+                if let CommandKind::Access { op, vars } = cmd.kind {
+                    let (id, client) = (cmd.id, cmd.client);
+                    self.queue.push_back(Queued::Access {
+                        op,
+                        cmd: AccessCmd {
+                            id,
+                            client,
+                            attempt,
+                            vars,
+                            expected,
+                            target,
+                            keep,
+                            sent_vars: false,
+                            sent_exchange: false,
+                        },
                     });
                 }
             }
+            Payload::CreateKey { cmd, dest } => {
+                if let (true, CommandKind::CreateKey { key, vars }) =
+                    (dest == self.partition, cmd.kind)
+                {
+                    let (id, client) = (cmd.id, cmd.client);
+                    let cmd = KeyCmd { id, client, key, signalled: false };
+                    self.queue.push_back(Queued::Create { vars, cmd });
+                }
+            }
             Payload::DeleteKey { cmd, dest } => {
-                if dest == self.partition {
-                    let key = match &cmd.kind {
-                        CommandKind::DeleteKey { key } => *key,
-                        // detlint::allow(P003): constructor pairs DeleteKey payloads with DeleteKey commands; a mismatch is a local logic bug, not wire input
-                        _ => unreachable!("DeleteKey payload without DeleteKey command"),
-                    };
-                    self.queue.push_back(Queued {
-                        cmd,
-                        attempt: 0,
-                        body: QueuedBody::Delete { key, signalled: false },
-                    });
+                if let (true, CommandKind::DeleteKey { key }) = (dest == self.partition, cmd.kind) {
+                    let (id, client) = (cmd.id, cmd.client);
+                    self.queue.push_back(Queued::Delete(KeyCmd {
+                        id,
+                        client,
+                        key,
+                        signalled: false,
+                    }));
                 }
             }
             Payload::Plan { version, moves } => {
@@ -788,16 +535,7 @@ impl<A: Application> ServerCore<A> {
                 for &(key, from, to) in &moves {
                     self.history.record_move(key, version, from, to);
                 }
-                // Dummy command for queue uniformity.
-                self.queue.push_back(Queued {
-                    cmd: Command {
-                        id: MsgId::new(u64::MAX, 0),
-                        client: dynastar_runtime::NodeId::EXTERNAL,
-                        kind: CommandKind::DeleteKey { key: LocKey(u64::MAX) },
-                    },
-                    attempt: 0,
-                    body: QueuedBody::Plan { version, moves },
-                });
+                self.queue.push_back(Queued::Plan { version, moves });
             }
             Payload::MigrationDone { version, key, from, to } => {
                 // Safe to apply at delivery (not queued): at the
@@ -810,21 +548,10 @@ impl<A: Application> ServerCore<A> {
                 // never resolve).
                 let settle = self.history.settle(key, version, from, to, MoveOutcome::Done);
                 if from == self.partition {
-                    if let Some(e) = self.outbox.remove(&(version, key)) {
-                        if !e.deferred && !e.gave_up {
-                            self.release_link_slot(e.to, now, metrics);
-                        }
-                    }
+                    self.staged.finish(&self.config, version, key, now);
                 }
                 if matches!(settle, Settle::Applied { .. }) && to == self.partition {
-                    let e = self.staging.entry((version, key)).or_insert_with(|| StagedKey {
-                        from,
-                        total: None,
-                        chunks: BTreeMap::new(),
-                        done: false,
-                        done_requested: true,
-                    });
-                    e.done = true;
+                    self.staged.mark_done(version, key, from);
                     self.try_install_staged(version, key, metrics, &mut eff);
                 }
             }
@@ -847,7 +574,7 @@ impl<A: Application> ServerCore<A> {
                         // move back into this partition the replayed owner
                         // is us — keep ownership, the data holder ships to
                         // us via its own revert pump.
-                        self.staging.remove(&(version, key));
+                        self.staged.cancel(version, key);
                         if owner != self.partition && self.owned.contains(&key) {
                             self.awaiting_keys.remove(&key);
                             self.owned.remove(&key);
@@ -860,15 +587,7 @@ impl<A: Application> ServerCore<A> {
                         // resolve against the pre-revert ownership on every
                         // replica, no matter how far its local pump has
                         // progressed.
-                        self.queue.push_back(Queued {
-                            cmd: Command {
-                                id: MsgId::new(u64::MAX, 0),
-                                client: dynastar_runtime::NodeId::EXTERNAL,
-                                kind: CommandKind::DeleteKey { key: LocKey(u64::MAX) },
-                            },
-                            attempt: 0,
-                            body: QueuedBody::MigrationRevert { version, key },
-                        });
+                        self.queue.push_back(Queued::MigrationRevert { version, key });
                     }
                 }
             }
@@ -920,15 +639,7 @@ impl<A: Application> ServerCore<A> {
             }
             Direct::Abort { cmd, attempt, .. } => {
                 self.aborted.insert((cmd, attempt));
-                // Bounce anything already received for it.
-                if let Some(received) = self.vars_in.remove(&(cmd, attempt)) {
-                    for (from, vars) in received {
-                        eff.push(Effect::Send {
-                            to: Destination::Partition(from),
-                            msg: Direct::VarsReturn { cmd, attempt, vars },
-                        });
-                    }
-                }
+                self.bounce_vars_in(cmd, attempt, &mut eff);
             }
             Direct::Signal { cmd, from_partition } => {
                 if from_partition.is_none() {
@@ -936,7 +647,8 @@ impl<A: Application> ServerCore<A> {
                 }
             }
             Direct::PlanVars { version, key, from, vars, pending, primary } => {
-                self.on_plan_vars(version, key, from, vars, pending, primary, metrics, &mut eff);
+                let shipment = Shipment { version, key, from, vars, pending, primary };
+                self.on_plan_vars(shipment, metrics, &mut eff);
             }
             Direct::PlanVarsChunk { version, key, from, chunk, total, vars } => {
                 // Ack unconditionally — even duplicates and post-settle
@@ -945,7 +657,6 @@ impl<A: Application> ServerCore<A> {
                     to: Destination::Partition(from),
                     msg: Direct::PlanVarsAck { version, key, chunk },
                 });
-                let k = (version, key);
                 // Only buffer chunks for migrations not yet decided, or
                 // with a staging entry still present (Done delivered
                 // before all chunks arrived). Once decided *and*
@@ -954,46 +665,15 @@ impl<A: Application> ServerCore<A> {
                 // stray can never resurrect a staging entry — the
                 // unconditional ack above is what terminates the sender's
                 // retransmit loop.
-                if !self.history.decided(version, key) || self.staging.contains_key(&k) {
-                    let e = self.staging.entry(k).or_insert_with(|| StagedKey {
-                        from,
-                        total: None,
-                        chunks: BTreeMap::new(),
-                        done: false,
-                        done_requested: false,
-                    });
-                    if e.total.is_none() {
-                        e.total = Some(total);
-                    }
-                    e.chunks.insert(chunk, vars);
-                    if e.chunks.len() as u32 >= total && !e.done_requested {
-                        e.done_requested = true;
-                        let to = self.partition;
-                        eff.push(Effect::Multicast {
-                            mid: migration_mid(key, version, TAG_MIGRATION_DONE),
-                            partitions: vec![from, to],
-                            // Every shard's map replica settles the move.
-                            oracle: OracleDest::All,
-                            payload: Payload::MigrationDone { version, key, from, to },
-                        });
-                    }
+                if !self.history.decided(version, key) || self.staged.is_staging(version, key) {
+                    eff.extend(self.staged.buffer_chunk(version, key, from, chunk, total, vars));
                     // A late chunk may complete a migration whose Done was
                     // already delivered.
                     self.try_install_staged(version, key, metrics, &mut eff);
                 }
             }
             Direct::PlanVarsAck { version, key, chunk } => {
-                if let Some(e) = self.outbox.get_mut(&(version, key)) {
-                    let i = chunk as usize;
-                    if i < e.acked.len() && !e.acked[i] {
-                        e.acked[i] = true;
-                        if e.in_flight == Some(i) {
-                            e.in_flight = None;
-                            e.attempts = 0;
-                            e.backoff = self.config.migration_chunk_timeout;
-                        }
-                    }
-                }
+                self.staged.on_ack(&self.config, version, key, chunk);
             }
             Direct::SsmrExchange { cmd, attempt, from, vars } => {
                 self.ssmr_in.entry((cmd, attempt)).or_default().insert(from, vars);
@@ -1010,6 +690,18 @@ impl<A: Application> ServerCore<A> {
         eff
     }
 
+    /// Sends every variable received for `(cmd, attempt)` back to its
+    /// lender: the command will not execute here, and lenders block until
+    /// their variables come home.
+    fn bounce_vars_in(&mut self, cmd: MsgId, attempt: u32, eff: &mut Vec<Effect<A>>) {
+        for (from, vars) in self.vars_in.remove(&(cmd, attempt)).unwrap_or_default() {
+            eff.push(Effect::Send {
+                to: Destination::Partition(from),
+                msg: Direct::VarsReturn { cmd, attempt, vars },
+            });
+        }
+    }
+
     /// Installs (or forwards) a staged migration's variables once both the
     /// `MigrationDone` has been delivered and every chunk has arrived at
     /// this replica. Any replica may reach this point later than its peers
@@ -1022,11 +714,7 @@ impl<A: Application> ServerCore<A> {
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) {
-        let ready = match self.staging.get(&(version, key)) {
-            Some(e) => e.done && e.total.is_some_and(|t| e.chunks.len() as u32 >= t),
-            None => return,
-        };
-        if !ready {
+        if !self.staged.ready(version, key) {
             return;
         }
         if !self.owned.contains(&key) && !self.outmigrated.contains_key(&key) {
@@ -1036,22 +724,11 @@ impl<A: Application> ServerCore<A> {
             // vars here would leave the key owned-but-empty forever.
             return;
         }
-        let e = match self.staging.remove(&(version, key)) {
-            Some(e) => e,
-            None => return,
-        };
-        let vars: Vec<(VarId, Option<A::Value>)> = e.chunks.into_values().flatten().collect();
-        let count = vars.len() as u64;
+        let Some((from, vars)) = self.staged.take(version, key) else { return };
         if self.owned.contains(&key) {
+            let count = vars.len() as u64;
             for (v, val) in vars {
-                match val {
-                    Some(val) => {
-                        self.store.insert(v, val);
-                    }
-                    None => {
-                        self.store.remove(&v);
-                    }
-                }
+                store_put(&mut self.store, v, val);
                 self.awaiting_vars.remove(&v);
             }
             self.awaiting_keys.remove(&key);
@@ -1068,7 +745,7 @@ impl<A: Application> ServerCore<A> {
                 msg: Direct::PlanVars {
                     version,
                     key,
-                    from: e.from,
+                    from,
                     vars,
                     pending: Vec::new(),
                     primary: true,
@@ -1085,27 +762,23 @@ impl<A: Application> ServerCore<A> {
     /// The carried plan version disambiguates the two, which keeps the
     /// forwarding chain loop-free: forwards only follow plans this replica
     /// has already applied.
-    #[allow(clippy::too_many_arguments)]
     fn on_plan_vars(
         &mut self,
-        version: u64,
-        key: LocKey,
-        from: PartitionId,
-        vars: Vec<(VarId, Option<A::Value>)>,
-        pending: Vec<VarId>,
-        primary: bool,
+        shipment: Shipment<A::Value>,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) {
+        let key = shipment.key;
         if !self.owned.contains(&key) && !self.awaiting_keys.contains_key(&key) {
-            if version > self.plan_version {
+            if shipment.version > self.plan_version {
                 // We have not applied the plan that concerns this shipment
                 // yet; hold it until pump_plan catches up.
-                self.planvars_buffer.push((version, key, from, vars, pending, primary));
+                self.planvars_buffer.push(shipment);
             } else if let Some(&next) = self.outmigrated.get(&key) {
                 // The key has already moved on; forward toward its current
                 // home. `from` is preserved so the receiver's dedup key
                 // still identifies the original shipment.
+                let Shipment { version, from, vars, pending, primary, .. } = shipment;
                 eff.push(Effect::Send {
                     to: Destination::Partition(next),
                     msg: Direct::PlanVars { version, key, from, vars, pending, primary },
@@ -1113,16 +786,10 @@ impl<A: Application> ServerCore<A> {
             }
             return;
         }
+        let Shipment { vars, pending, primary, .. } = shipment;
         let received = vars.len() as u64;
         for (v, val) in vars {
-            match val {
-                Some(val) => {
-                    self.store.insert(v, val);
-                }
-                None => {
-                    self.store.remove(&v);
-                }
-            }
+            store_put(&mut self.store, v, val);
             self.awaiting_vars.remove(&v);
         }
         if primary {
@@ -1144,22 +811,17 @@ impl<A: Application> ServerCore<A> {
     /// wait, keeping borrows of `self` free for the handlers.
     ///
     /// Commands still *apply* strictly in delivery order: the scheduler
-    /// only decides when the head is admitted — once a worker is free and
-    /// every conflicting in-flight predecessor has finished. With
-    /// `workers = 1` the gate collapses to the single busy clock, i.e. the
-    /// pre-parallel serial executor.
+    /// only decides when the head is admitted — an access command once a
+    /// worker is free and every conflicting in-flight predecessor has
+    /// finished, anything else once every worker has drained.
     fn pump(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
         loop {
-            self.exec.prune(now);
             let gate = match self.queue.front() {
                 None => return,
-                Some(head) => {
-                    let (gate, stall) = self.gate_for(head, now);
-                    if let Some(stall) = stall {
-                        self.exec.note_stall(stall);
-                    }
-                    gate
+                Some(Queued::Access { op, cmd }) => {
+                    self.exec.access_gate(cmd.id, cmd.attempt, || A::classify(op, &cmd.vars), now)
                 }
+                Some(_) => self.exec.barrier_gate(),
             };
             if now < gate {
                 // The modelled engine cannot admit the head yet: ask the
@@ -1168,13 +830,17 @@ impl<A: Application> ServerCore<A> {
                 return;
             }
             let Some(mut entry) = self.queue.pop_front() else { return };
-            let done = match &entry.body {
-                QueuedBody::Access { .. } => self.pump_access(&mut entry, now, metrics, eff),
-                QueuedBody::Create { .. } => self.pump_create(&mut entry, now, metrics, eff),
-                QueuedBody::Delete { .. } => self.pump_delete(&mut entry, now, metrics, eff),
-                QueuedBody::Plan { .. } => self.pump_plan(&mut entry, now, metrics, eff),
-                QueuedBody::MigrationRevert { .. } => {
-                    self.pump_revert(&mut entry, now, metrics, eff)
+            let done = match &mut entry {
+                Queued::Access { op, cmd } => self.pump_access(op, cmd, now, metrics, eff),
+                Queued::Create { vars, cmd } => self.pump_create(vars, cmd, now, metrics, eff),
+                Queued::Delete(cmd) => self.pump_delete(cmd, eff),
+                Queued::Plan { version, moves } => {
+                    self.pump_plan(*version, moves, now, metrics, eff);
+                    true
+                }
+                Queued::MigrationRevert { version, key } => {
+                    self.pump_revert(*version, *key, now, metrics, eff);
+                    true
                 }
             };
             if !done {
@@ -1182,67 +848,6 @@ impl<A: Application> ServerCore<A> {
                 return;
             }
         }
-    }
-
-    /// When the modelled engine can admit the queue head, and — if that is
-    /// in the future because of a conflict or a full window — stall
-    /// attribution for the metrics.
-    ///
-    /// An `Access` head must find a free worker and wait out every
-    /// in-flight command its read/write sets conflict with (CBASE rule:
-    /// conflict iff one's writes intersect the other's reads∪writes).
-    /// Everything else (creates, deletes, plans, reverts) is a full
-    /// barrier — it waits for all workers to drain.
-    fn gate_for(&self, head: &Queued<A>, now: SimTime) -> (SimTime, Option<PendingStall>) {
-        let cfg = &self.config.exec;
-        let clocks = &self.exec.clocks;
-        if cfg.workers <= 1 {
-            // Serial fast path: one clock (also charged by migration
-            // transfers), no classification, no window — exactly the
-            // pre-parallel `busy_until` gate.
-            return (clocks[0], None);
-        }
-        if !matches!(head.body, QueuedBody::Access { .. }) {
-            // Full barrier. Worker clocks only ever grow past window
-            // finish times, so max(clocks) covers every in-flight command.
-            let drained = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
-            return (drained, None);
-        }
-        if cfg.service_time.is_zero() {
-            // Execution itself is free (the window stays empty); only
-            // migration-transfer charges occupy the clocks.
-            let free = clocks.iter().copied().min().unwrap_or(SimTime::ZERO);
-            return (free, None);
-        }
-        let sets = match &head.cmd.kind {
-            CommandKind::Access { op, vars } => A::classify(op, vars),
-            _ => AccessSets::write_all(&head.cmd.vars()),
-        };
-        // A worker must be free…
-        let mut gate = clocks.iter().copied().min().unwrap_or(SimTime::ZERO);
-        // …every conflicting predecessor must have finished…
-        let mut conflicted = false;
-        for e in &self.exec.window {
-            if sets.conflicts_with(&e.sets) {
-                conflicted = true;
-                gate = gate.max(e.finish);
-            }
-        }
-        // …and the window must have room to track the admission.
-        let mut window_full = false;
-        if self.exec.window.len() >= cfg.window.max(1) as usize {
-            window_full = true;
-            if let Some(first_out) = self.exec.window.iter().map(|e| e.finish).min() {
-                gate = gate.max(first_out);
-            }
-        }
-        let stall = (now < gate && (conflicted || window_full)).then_some(PendingStall {
-            id: head.cmd.id,
-            attempt: head.attempt,
-            conflicted,
-            window_full,
-        });
-        (gate, stall)
     }
 
     /// Whether every variable this partition must provide is resolvable:
@@ -1265,7 +870,7 @@ impl<A: Application> ServerCore<A> {
 
     /// Collects this partition's (authoritative) values for its expected
     /// variables.
-    fn my_var_values(&self, expected: &[(VarId, PartitionId)]) -> Vec<(VarId, Option<A::Value>)> {
+    fn my_var_values(&self, expected: &[(VarId, PartitionId)]) -> VarShipment<A> {
         expected
             .iter()
             .filter(|&&(_, p)| p == self.partition)
@@ -1273,88 +878,61 @@ impl<A: Application> ServerCore<A> {
             .collect()
     }
 
+    /// Advances the access command at the queue head; `true` once it is
+    /// finished here.
     fn pump_access(
         &mut self,
-        entry: &mut Queued<A>,
+        op: &A::Op,
+        cmd: &mut AccessCmd,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) -> bool {
-        let (cmd_id, attempt, client) = (entry.cmd.id, entry.attempt, entry.cmd.client);
-        let cmd = entry.cmd.clone();
-        let QueuedBody::Access { expected, target, keep, sent_vars, sent_exchange } =
-            &mut entry.body
-        else {
-            // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Access; other variants cannot reach here
-            unreachable!("pump_access on non-access queue entry")
-        };
-        let target = *target;
-        let keep = *keep;
-        let mut dests: Vec<PartitionId> = expected.iter().map(|&(_, p)| p).collect();
-        dests.sort_unstable();
-        dests.dedup();
+        let (cmd_id, attempt) = (cmd.id, cmd.attempt);
+        let dests = cmd.partitions();
         let multi = dests.len() > 1;
 
         // Duplicate dispatch of an already-executed command: answer from
         // the reply cache, bounce any borrowed vars.
         if let Some(reply) = self.executed.get(&cmd_id) {
-            if target == self.partition {
+            if cmd.target == self.partition {
                 eff.push(Effect::Send {
-                    to: Destination::Client(client),
+                    to: Destination::Client(cmd.client),
                     msg: Direct::Reply { cmd: cmd_id, attempt, reply: reply.clone() },
                 });
-                if let Some(received) = self.vars_in.remove(&(cmd_id, attempt)) {
-                    for (from, vars) in received {
-                        eff.push(Effect::Send {
-                            to: Destination::Partition(from),
-                            msg: Direct::VarsReturn { cmd: cmd_id, attempt, vars },
-                        });
-                    }
-                }
+                self.bounce_vars_in(cmd_id, attempt, eff);
             }
             return true;
         }
 
         // Known aborted: nothing to do (vars already bounced on arrival).
         if self.aborted.contains(&(cmd_id, attempt)) {
-            if let Some(received) = self.vars_in.remove(&(cmd_id, attempt)) {
-                for (from, vars) in received {
-                    eff.push(Effect::Send {
-                        to: Destination::Partition(from),
-                        msg: Direct::VarsReturn { cmd: cmd_id, attempt, vars },
-                    });
-                }
-            }
+            self.bounce_vars_in(cmd_id, attempt, eff);
             return true;
         }
 
         // Staleness check for the variables expected of us.
-        match self.my_vars_ready(expected) {
+        match self.my_vars_ready(&cmd.expected) {
             Err(()) => {
                 trace_blocked(format_args!(
                     "[{}] t={} cmd={} att={} stale routing: expected={:?}",
-                    self.partition, now, cmd_id, attempt, expected,
+                    self.partition, now, cmd_id, attempt, cmd.expected,
                 ));
                 // Tell the client to retry via the oracle; tell the target
                 // to abandon the command.
                 eff.push(Effect::Send {
-                    to: Destination::Client(client),
+                    to: Destination::Client(cmd.client),
                     msg: Direct::Retry { cmd: cmd_id, attempt },
                 });
-                if target != self.partition {
+                if cmd.target != self.partition {
                     eff.push(Effect::Send {
-                        to: Destination::Partition(target),
+                        to: Destination::Partition(cmd.target),
                         msg: Direct::Abort { cmd: cmd_id, attempt, missing_at: self.partition },
                     });
-                } else if let Some(received) = self.vars_in.remove(&(cmd_id, attempt)) {
+                } else {
                     // We are the target: lenders that already shipped their
-                    // variables block until they come back — bounce them.
-                    for (from, vars) in received {
-                        eff.push(Effect::Send {
-                            to: Destination::Partition(from),
-                            msg: Direct::VarsReturn { cmd: cmd_id, attempt, vars },
-                        });
-                    }
+                    // variables block until they come back.
+                    self.bounce_vars_in(cmd_id, attempt, eff);
                 }
                 self.aborted.insert((cmd_id, attempt));
                 if self.config.record_metrics {
@@ -1375,16 +953,16 @@ impl<A: Application> ServerCore<A> {
 
         if !multi {
             // Single-partition fast path (Algorithm 3 Task 1a).
-            let expected = expected.clone();
-            self.execute_here(&cmd, attempt, &expected, now, metrics, eff);
+            let (reply, _) = self.execute(op, cmd, BTreeMap::new(), now, metrics);
+            self.finish_execution(cmd, reply, false, now, metrics, eff);
             return true;
         }
 
         if self.mode == Mode::SSmr {
             // S-SMR: exchange shares, then everyone executes.
-            if !*sent_exchange {
-                *sent_exchange = true;
-                let mine = self.my_var_values(expected);
+            if !cmd.sent_exchange {
+                cmd.sent_exchange = true;
+                let mine = self.my_var_values(&cmd.expected);
                 if self.config.record_metrics {
                     let ids = self.mids(metrics);
                     metrics.incr(
@@ -1408,22 +986,30 @@ impl<A: Application> ServerCore<A> {
             if have + 1 < dests.len() {
                 return false; // waiting for other partitions' shares
             }
-            // Assemble the full variable map and execute.
-            let expected = expected.clone();
+            // Assemble the full variable map and execute; apply only our
+            // own variables, and only the lowest-id partition replies.
             let shares = self.ssmr_in.remove(&(cmd_id, attempt)).unwrap_or_default();
-            let mut borrowed = BTreeMap::new();
-            for (_, vars) in shares {
-                for (v, val) in vars {
-                    borrowed.insert(v, val);
+            let (reply, _) =
+                self.execute(op, cmd, shares.into_values().flatten().collect(), now, metrics);
+            if self.config.record_metrics {
+                let ids = self.mids(metrics);
+                metrics.record_at(ids.s_multi, now, 1.0);
+            }
+            if self.partition == dests[0] {
+                self.finish_execution(cmd, reply, true, now, metrics, eff);
+            } else {
+                // Record execution without replying (dedup for retries).
+                self.executed.insert(cmd_id, reply);
+                if self.config.record_metrics {
+                    let ids = self.mids(metrics);
+                    metrics.record_at(ids.s_executed, now, 1.0);
                 }
             }
-            let replies_here = self.partition == dests[0]; // lowest id replies
-            self.execute_ssmr(&cmd, attempt, &expected, borrowed, now, metrics, eff, replies_here);
             return true;
         }
 
         // DynaStar / DS-SMR path.
-        if target == self.partition {
+        if cmd.target == self.partition {
             // Target: wait until every other involved partition shipped.
             let have = self.vars_in.get(&(cmd_id, attempt)).map(|m| m.len()).unwrap_or(0);
             if have + 1 < dests.len() {
@@ -1437,7 +1023,6 @@ impl<A: Application> ServerCore<A> {
                 ));
                 return false;
             }
-            let expected = expected.clone();
             let shipments = self.vars_in.remove(&(cmd_id, attempt)).unwrap_or_default();
             let mut borrowed: BTreeMap<VarId, Option<A::Value>> = BTreeMap::new();
             let mut sources: BTreeMap<VarId, PartitionId> = BTreeMap::new();
@@ -1447,69 +1032,81 @@ impl<A: Application> ServerCore<A> {
                     borrowed.insert(v, val);
                 }
             }
-            self.execute_target(
-                &cmd, attempt, &expected, borrowed, sources, keep, now, metrics, eff,
-            );
-            true
-        } else {
-            // Non-target: ship our variables, then (DynaStar) await return.
-            if !*sent_vars {
-                *sent_vars = true;
-                let mine = self.my_var_values(expected);
+            let (reply, vars) = self.execute(op, cmd, borrowed, now, metrics);
+            // Borrowed variables: return home (DynaStar) or absorb (DS-SMR).
+            let mut by_source: ShipmentsBySource<A> = BTreeMap::new();
+            for (v, from) in sources {
+                by_source.entry(from).or_default().push((v, vars.get(&v).cloned().flatten()));
+            }
+            if cmd.keep {
+                for (v, val) in by_source.into_values().flatten() {
+                    self.owned.insert(A::locality(v));
+                    store_put(&mut self.store, v, val);
+                }
+            } else {
+                let mut returned_objects = 0u64;
+                for (from, vars) in by_source {
+                    returned_objects += vars.iter().filter(|(_, v)| v.is_some()).count() as u64;
+                    eff.push(Effect::Send {
+                        to: Destination::Partition(from),
+                        msg: Direct::VarsReturn { cmd: cmd_id, attempt, vars },
+                    });
+                }
                 if self.config.record_metrics {
                     let ids = self.mids(metrics);
-                    let shipped = mine.iter().filter(|(_, v)| v.is_some()).count();
-                    metrics.incr(ids.objects_exchanged, shipped as u64);
-                    metrics.record_at(ids.s_objects, now, shipped as f64);
-                    metrics.record_at(ids.s_multi, now, 1.0);
-                }
-                for (v, _) in &mine {
-                    self.lent.insert(*v, (cmd_id, attempt));
-                }
-                // Values leave this partition while borrowed.
-                for (v, _) in &mine {
-                    self.store.remove(v);
-                }
-                eff.push(Effect::Send {
-                    to: Destination::Partition(target),
-                    msg: Direct::VarsForCmd {
-                        cmd: cmd_id,
-                        attempt,
-                        from: self.partition,
-                        vars: mine,
-                    },
-                });
-                if keep {
-                    // DS-SMR: ownership transfers; nothing comes back.
-                    let my_keys: Vec<LocKey> = expected
-                        .iter()
-                        .filter(|&&(_, p)| p == self.partition)
-                        .map(|&(v, _)| A::locality(v))
-                        .collect();
-                    for key in my_keys {
-                        if self.owned.remove(&key) {
-                            self.outmigrated.insert(key, target);
-                        }
-                    }
-                    // Lent entries are moot: clear them.
-                    self.lent.retain(|_, &mut (c, a)| !(c == cmd_id && a == attempt));
-                    return true;
+                    metrics.incr(ids.objects_exchanged, returned_objects);
+                    metrics.record_at(ids.s_objects, now, returned_objects as f64);
                 }
             }
-            // DynaStar: block until the variables come home (line 17).
-            let Some(returned) = self.returns_in.remove(&(cmd_id, attempt)) else {
-                trace_blocked(format_args!(
-                    "[{}] t={} lender cmd={} att={} waits for return from {}",
-                    self.partition, now, cmd_id, attempt, target
-                ));
-                return false;
-            };
-            for (v, val) in returned {
-                self.lent.remove(&v);
-                self.apply_returned_var(v, val, eff);
-            }
-            true
+            self.finish_execution(cmd, reply, true, now, metrics, eff);
+            return true;
         }
+
+        // Non-target: ship our variables, then (DynaStar) await return.
+        if !cmd.sent_vars {
+            cmd.sent_vars = true;
+            let mine = self.my_var_values(&cmd.expected);
+            if self.config.record_metrics {
+                let ids = self.mids(metrics);
+                let shipped = mine.iter().filter(|(_, v)| v.is_some()).count();
+                metrics.incr(ids.objects_exchanged, shipped as u64);
+                metrics.record_at(ids.s_objects, now, shipped as f64);
+                metrics.record_at(ids.s_multi, now, 1.0);
+            }
+            // Values leave this partition while borrowed.
+            for (v, _) in &mine {
+                self.lent.insert(*v, (cmd_id, attempt));
+                self.store.remove(v);
+            }
+            eff.push(Effect::Send {
+                to: Destination::Partition(cmd.target),
+                msg: Direct::VarsForCmd { cmd: cmd_id, attempt, from: self.partition, vars: mine },
+            });
+            if cmd.keep {
+                // DS-SMR: ownership transfers; nothing comes back.
+                for &(v, p) in &cmd.expected {
+                    if p == self.partition && self.owned.remove(&A::locality(v)) {
+                        self.outmigrated.insert(A::locality(v), cmd.target);
+                    }
+                }
+                // Lent entries are moot: clear them.
+                self.lent.retain(|_, &mut (c, a)| !(c == cmd_id && a == attempt));
+                return true;
+            }
+        }
+        // DynaStar: block until the variables come home (line 17).
+        let Some(returned) = self.returns_in.remove(&(cmd_id, attempt)) else {
+            trace_blocked(format_args!(
+                "[{}] t={} lender cmd={} att={} waits for return from {}",
+                self.partition, now, cmd_id, attempt, cmd.target
+            ));
+            return false;
+        };
+        for (v, val) in returned {
+            self.lent.remove(&v);
+            self.apply_returned_var(v, val, eff);
+        }
+        true
     }
 
     /// Stores or forwards one returned variable, depending on whether its
@@ -1517,14 +1114,7 @@ impl<A: Application> ServerCore<A> {
     fn apply_returned_var(&mut self, v: VarId, val: Option<A::Value>, eff: &mut Vec<Effect<A>>) {
         let key = A::locality(v);
         if self.owned.contains(&key) {
-            match val {
-                Some(val) => {
-                    self.store.insert(v, val);
-                }
-                None => {
-                    self.store.remove(&v);
-                }
-            }
+            store_put(&mut self.store, v, val);
         } else if let Some(&next) = self.outmigrated.get(&key) {
             // The key migrated while the variable was lent: forward it as a
             // supplement so the new owner can clear its pending marker.
@@ -1542,265 +1132,61 @@ impl<A: Application> ServerCore<A> {
         }
     }
 
-    /// Executes a single-partition command at this partition.
-    fn execute_here(
+    /// Executes the access command at the queue head: adds this
+    /// partition's expected variables to `vars` (which already holds any
+    /// borrowed or exchanged ones), runs `op`, writes the local variables
+    /// back, and accounts the modelled CPU time. Returns the reply and the
+    /// variable map as `op` left it.
+    fn execute(
         &mut self,
-        cmd: &Command<A>,
-        attempt: u32,
-        expected: &[(VarId, PartitionId)],
-        now: SimTime,
-        metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-    ) {
-        let op = match &cmd.kind {
-            CommandKind::Access { op, .. } => op.clone(),
-            _ => {
-                // Only reached from Access handling in pump_access; on the
-                // delivery path a violated invariant must not take the
-                // replica down (P00x), so drop the command instead.
-                debug_assert!(false, "execute_here on non-access");
-                return;
-            }
-        };
-        let mut vars: BTreeMap<VarId, Option<A::Value>> = BTreeMap::new();
-        for &(v, p) in expected {
-            if p == self.partition {
-                vars.insert(v, self.store.get(&v).cloned());
-            }
-        }
-        let reply = A::execute(&op, &mut vars);
-        for &(v, p) in expected {
-            if p == self.partition {
-                match vars.get(&v).cloned().flatten() {
-                    Some(val) => {
-                        self.store.insert(v, val);
-                    }
-                    None => {
-                        self.store.remove(&v);
-                    }
-                }
-            }
-        }
-        self.finish_execution(cmd, attempt, reply, false, now, metrics, eff);
-    }
-
-    /// Executes a multi-partition command at the target with borrowed
-    /// variables, then returns (or keeps) them.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_target(
-        &mut self,
-        cmd: &Command<A>,
-        attempt: u32,
-        expected: &[(VarId, PartitionId)],
-        mut borrowed: BTreeMap<VarId, Option<A::Value>>,
-        sources: BTreeMap<VarId, PartitionId>,
-        keep: bool,
-        now: SimTime,
-        metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-    ) {
-        let op = match &cmd.kind {
-            CommandKind::Access { op, .. } => op.clone(),
-            // detlint::allow(P003): only reached from Access handling (exchange path); variant pairing is a local invariant
-            _ => unreachable!("execute_target on non-access"),
-        };
-        for &(v, p) in expected {
-            if p == self.partition {
-                borrowed.insert(v, self.store.get(&v).cloned());
-            }
-        }
-        let reply = A::execute(&op, &mut borrowed);
-
-        // Local variables: apply in place.
-        for &(v, p) in expected {
-            if p == self.partition {
-                match borrowed.get(&v).cloned().flatten() {
-                    Some(val) => {
-                        self.store.insert(v, val);
-                    }
-                    None => {
-                        self.store.remove(&v);
-                    }
-                }
-            }
-        }
-        // Borrowed variables: return home (DynaStar) or absorb (DS-SMR).
-        let mut by_source: ShipmentsBySource<A> = BTreeMap::new();
-        for (v, from) in &sources {
-            by_source.entry(*from).or_default().push((*v, borrowed.get(v).cloned().flatten()));
-        }
-        if keep {
-            for (_, vars) in by_source {
-                for (v, val) in vars {
-                    let key = A::locality(v);
-                    self.owned.insert(key);
-                    match val {
-                        Some(val) => {
-                            self.store.insert(v, val);
-                        }
-                        None => {
-                            self.store.remove(&v);
-                        }
-                    }
-                }
-            }
-        } else {
-            let mut returned_objects = 0u64;
-            for (from, vars) in by_source {
-                returned_objects += vars.iter().filter(|(_, v)| v.is_some()).count() as u64;
-                eff.push(Effect::Send {
-                    to: Destination::Partition(from),
-                    msg: Direct::VarsReturn { cmd: cmd.id, attempt, vars },
-                });
-            }
-            if self.config.record_metrics {
-                let ids = self.mids(metrics);
-                metrics.incr(ids.objects_exchanged, returned_objects);
-                metrics.record_at(ids.s_objects, now, returned_objects as f64);
-            }
-        }
-        self.finish_execution(cmd, attempt, reply, true, now, metrics, eff);
-    }
-
-    /// S-SMR execution: full variable map available, apply only our own
-    /// variables, reply only if we are the designated replier.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_ssmr(
-        &mut self,
-        cmd: &Command<A>,
-        attempt: u32,
-        expected: &[(VarId, PartitionId)],
+        op: &A::Op,
+        cmd: &AccessCmd,
         mut vars: BTreeMap<VarId, Option<A::Value>>,
         now: SimTime,
         metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-        replies_here: bool,
-    ) {
-        let op = match &cmd.kind {
-            CommandKind::Access { op, .. } => op.clone(),
-            // detlint::allow(P003): only reached from Access handling (SSMR path); variant pairing is a local invariant
-            _ => unreachable!("execute_ssmr on non-access"),
-        };
-        for &(v, p) in expected {
+    ) -> (A::Reply, BTreeMap<VarId, Option<A::Value>>) {
+        for &(v, p) in &cmd.expected {
             if p == self.partition {
                 vars.insert(v, self.store.get(&v).cloned());
             }
         }
-        let reply = A::execute(&op, &mut vars);
-        for &(v, p) in expected {
+        let reply = A::execute(op, &mut vars);
+        for &(v, p) in &cmd.expected {
             if p == self.partition {
-                match vars.get(&v).cloned().flatten() {
-                    Some(val) => {
-                        self.store.insert(v, val);
-                    }
-                    None => {
-                        self.store.remove(&v);
-                    }
-                }
+                store_put(&mut self.store, v, vars.get(&v).cloned().flatten());
             }
         }
-        if self.config.record_metrics {
+        let admission = self.exec.admit(cmd.id, cmd.attempt, || A::classify(op, &cmd.vars), now);
+        if let (Some(a), true) = (admission, self.config.record_metrics) {
             let ids = self.mids(metrics);
-            metrics.record_at(ids.s_multi, now, 1.0);
-        }
-        if replies_here {
-            self.finish_execution(cmd, attempt, reply, true, now, metrics, eff);
-        } else {
-            // Record execution without replying (dedup for retries).
-            self.admit_execution(cmd, attempt, now, metrics);
-            self.executed.insert(cmd.id, reply);
-            if self.config.record_metrics {
-                let ids = self.mids(metrics);
-                metrics.record_at(ids.s_executed, now, 1.0);
-            }
-        }
-    }
-
-    /// Accounts the modelled CPU cost of one execution: assigns the
-    /// command to the earliest-free (lowest-index on ties) worker, charges
-    /// the service time, and registers its read/write sets in the
-    /// dependency window so successors conflict-check against it.
-    ///
-    /// Only called once the [`Self::gate_for`] gate has passed, so the
-    /// chosen worker's clock is at or before `now`.
-    fn admit_execution(
-        &mut self,
-        cmd: &Command<A>,
-        attempt: u32,
-        now: SimTime,
-        metrics: &mut Metrics,
-    ) {
-        let cfg = self.config.exec;
-        if cfg.service_time.is_zero() {
-            return;
-        }
-        if cfg.workers <= 1 {
-            // Serial fast path: exactly the old single-busy_until model.
-            advance_busy(&mut self.exec.clocks[0], now, cfg.service_time);
-            return;
-        }
-        let record = self.config.record_metrics;
-        if !matches!(cmd.kind, CommandKind::Access { .. }) {
-            // Creates/deletes executed here act as full two-sided
-            // barriers: they both wait for all workers (gate) and make
-            // every successor wait for them.
-            let finish = now + cfg.service_time;
-            for c in &mut self.exec.clocks {
-                *c = finish;
-            }
-            self.exec.window.clear();
-            self.exec.pending = None;
-            if record {
-                let h = self.worker_hist(metrics, 0);
-                metrics.observe(h, cfg.service_time);
-            }
-            return;
-        }
-        let sets = match &cmd.kind {
-            CommandKind::Access { op, vars } => A::classify(op, vars),
-            _ => AccessSets::write_all(&cmd.vars()),
-        };
-        let w = earliest_free_worker(&self.exec.clocks);
-        advance_busy(&mut self.exec.clocks[w], now, cfg.service_time);
-        let finish = self.exec.clocks[w];
-        let stall = self.exec.pending.take();
-        if record {
-            let ids = self.mids(metrics);
-            if !self.exec.window.is_empty() {
+            if a.overlapped {
                 metrics.incr(ids.exec_parallel, 1);
             }
-            if let Some(s) = stall {
-                if s.id == cmd.id && s.attempt == attempt {
-                    if s.conflicted {
-                        metrics.incr(ids.exec_serialized, 1);
-                    }
-                    if s.window_full {
-                        metrics.incr(ids.exec_window_stall, 1);
-                    }
-                }
+            if a.serialized {
+                metrics.incr(ids.exec_serialized, 1);
             }
-            let h = self.worker_hist(metrics, w);
-            metrics.observe(h, cfg.service_time);
+            if a.window_stalled {
+                metrics.incr(ids.exec_window_stall, 1);
+            }
+            let h = self.worker_hist(metrics, a.worker);
+            metrics.observe(h, a.busy);
         }
-        self.exec.window.push_back(WindowEntry { sets, finish });
+        (reply, vars)
     }
 
     /// Reply, reply-cache, metrics and hint bookkeeping after execution.
-    #[allow(clippy::too_many_arguments)]
     fn finish_execution(
         &mut self,
-        cmd: &Command<A>,
-        attempt: u32,
+        cmd: &AccessCmd,
         reply: A::Reply,
         multi: bool,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) {
-        self.admit_execution(cmd, attempt, now, metrics);
         eff.push(Effect::Send {
             to: Destination::Client(cmd.client),
-            msg: Direct::Reply { cmd: cmd.id, attempt, reply: reply.clone() },
+            msg: Direct::Reply { cmd: cmd.id, attempt: cmd.attempt, reply: reply.clone() },
         });
         self.executed.insert(cmd.id, reply);
         if self.config.record_metrics {
@@ -1816,15 +1202,18 @@ impl<A: Application> ServerCore<A> {
             }
         }
         if self.mode.optimizes() {
-            self.record_hint(cmd, eff);
+            self.record_hint(&cmd.vars, eff);
         }
     }
 
-    /// Accumulates workload-graph hints and flushes a batch when due
-    /// (Algorithm 2 Task 4, partition side). Every batch goes to the
-    /// planner shard, the one oracle shard that owns the workload graph.
-    fn record_hint(&mut self, cmd: &Command<A>, eff: &mut Vec<Effect<A>>) {
-        let keys = cmd.keys();
+    /// Accumulates workload-graph hints for one executed command over
+    /// `vars` and flushes a batch when due (Algorithm 2 Task 4, partition
+    /// side). Every batch goes to the planner shard, the one oracle shard
+    /// that owns the workload graph.
+    fn record_hint(&mut self, vars: &[VarId], eff: &mut Vec<Effect<A>>) {
+        let mut keys: Vec<LocKey> = vars.iter().map(|&v| A::locality(v)).collect();
+        keys.sort_unstable();
+        keys.dedup();
         for &k in &keys {
             *self.hint_vertices.entry(k).or_insert(0) += 1;
         }
@@ -1855,79 +1244,59 @@ impl<A: Application> ServerCore<A> {
         });
     }
 
+    /// The create/delete rendezvous (Algorithm 3 Task 2): signals the
+    /// oracle once, and reports whether the oracle's own signal is in.
+    fn rendezvous(&self, cmd: &mut KeyCmd, eff: &mut Vec<Effect<A>>) -> bool {
+        if !cmd.signalled {
+            cmd.signalled = true;
+            eff.push(Effect::Send {
+                to: Destination::Oracle,
+                msg: Direct::Signal { cmd: cmd.id, from_partition: Some(self.partition) },
+            });
+        }
+        self.oracle_signals.contains(&cmd.id)
+    }
+
     fn pump_create(
         &mut self,
-        entry: &mut Queued<A>,
+        vars: &[(VarId, A::Value)],
+        cmd: &mut KeyCmd,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
     ) -> bool {
-        let (cmd_id, client) = (entry.cmd.id, entry.cmd.client);
-        let QueuedBody::Create { key, signalled } = &mut entry.body else {
-            // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Create; other variants cannot reach here
-            unreachable!("pump_create on non-create queue entry")
-        };
-        let key = *key;
-        if !*signalled {
-            *signalled = true;
-            eff.push(Effect::Send {
-                to: Destination::Oracle,
-                msg: Direct::Signal { cmd: cmd_id, from_partition: Some(self.partition) },
-            });
-        }
-        // Rendezvous: wait for the oracle's signal (Algorithm 3 Task 2).
-        if !self.oracle_signals.contains(&cmd_id) {
+        if !self.rendezvous(cmd, eff) {
             return false;
         }
-        if let CommandKind::CreateKey { vars, .. } = &entry.cmd.kind {
-            self.owned.insert(key);
-            for (v, val) in vars {
-                self.store.insert(*v, val.clone());
-            }
+        self.owned.insert(cmd.key);
+        for (v, val) in vars {
+            self.store.insert(*v, val.clone());
         }
         if self.config.record_metrics {
             let ids = self.mids(metrics);
             metrics.record_at(ids.s_executed, now, 1.0);
         }
         eff.push(Effect::Send {
-            to: Destination::Client(client),
-            msg: Direct::Ack { cmd: cmd_id },
+            to: Destination::Client(cmd.client),
+            msg: Direct::Ack { cmd: cmd.id },
         });
         true
     }
 
-    fn pump_delete(
-        &mut self,
-        entry: &mut Queued<A>,
-        _now: SimTime,
-        _metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-    ) -> bool {
-        let (cmd_id, client) = (entry.cmd.id, entry.cmd.client);
-        let QueuedBody::Delete { key, signalled } = &mut entry.body else {
-            // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Delete; other variants cannot reach here
-            unreachable!("pump_delete on non-delete queue entry")
-        };
-        let key = *key;
+    fn pump_delete(&mut self, cmd: &mut KeyCmd, eff: &mut Vec<Effect<A>>) -> bool {
+        let key = cmd.key;
         if self.awaiting_keys.contains_key(&key) {
             return false; // migration inbound; wait for the state first
         }
         if !self.owned.contains(&key) {
             // Stale: the key moved away after the oracle routed the delete.
             eff.push(Effect::Send {
-                to: Destination::Client(client),
-                msg: Direct::Retry { cmd: cmd_id, attempt: 0 },
+                to: Destination::Client(cmd.client),
+                msg: Direct::Retry { cmd: cmd.id, attempt: 0 },
             });
             return true;
         }
-        if !*signalled {
-            *signalled = true;
-            eff.push(Effect::Send {
-                to: Destination::Oracle,
-                msg: Direct::Signal { cmd: cmd_id, from_partition: Some(self.partition) },
-            });
-        }
-        if !self.oracle_signals.contains(&cmd_id) {
+        if !self.rendezvous(cmd, eff) {
             return false;
         }
         self.owned.remove(&key);
@@ -1937,26 +1306,22 @@ impl<A: Application> ServerCore<A> {
             self.store.remove(&v);
         }
         eff.push(Effect::Send {
-            to: Destination::Client(client),
-            msg: Direct::Ack { cmd: cmd_id },
+            to: Destination::Client(cmd.client),
+            msg: Direct::Ack { cmd: cmd.id },
         });
         true
     }
 
     fn pump_plan(
         &mut self,
-        entry: &mut Queued<A>,
+        version: u64,
+        moves: &[(LocKey, PartitionId, PartitionId)],
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
-    ) -> bool {
-        let QueuedBody::Plan { version, moves } = &entry.body else {
-            // detlint::allow(P003): pump_queue dispatches to this pump by matching QueuedBody::Plan; other variants cannot reach here
-            unreachable!("pump_plan on non-plan queue entry")
-        };
-        let (version, moves) = (*version, moves.clone());
+    ) {
         self.plan_version = version;
-        for (key, from, to) in moves {
+        for &(key, from, to) in moves {
             // Outbound: nominally `from == self.partition`, but a revert
             // that already pumped here can have re-owned a key whose next
             // move the oracle planned from the *reverted* destination
@@ -1975,7 +1340,7 @@ impl<A: Application> ServerCore<A> {
                     continue; // already gone (e.g. DS-SMR moved it earlier)
                 }
                 self.outmigrated.insert(key, to);
-                let vars: Vec<(VarId, Option<A::Value>)> = self
+                let vars: VarShipment<A> = self
                     .store
                     .iter()
                     .filter(|(&v, _)| A::locality(v) == key)
@@ -1999,48 +1364,12 @@ impl<A: Application> ServerCore<A> {
                 // immediate shipment, so no supplement or returned loan
                 // can ever land mid-staging.
                 if self.config.staged_migration && !was_awaiting && pending.is_empty() {
-                    let per = self.config.migration_chunk_vars.max(1) as usize;
-                    let mut chunks: Vec<VarShipment<A>> =
-                        vars.chunks(per).map(|c| c.to_vec()).collect();
-                    if chunks.is_empty() {
-                        // Keyless-data moves still stage one empty chunk so
-                        // the destination reaches `total` and commits.
-                        chunks.push(Vec::new());
-                    }
-                    let n = chunks.len();
-                    // Per-link scheduling: moves arrive hottest-first (the
-                    // oracle orders them by access weight), so when the
-                    // link to `to` is at its in-flight cap this colder move
-                    // parks in FIFO order and a freed slot promotes it.
-                    let cap = self.config.migration_max_inflight_per_link;
-                    let deferred =
-                        cap > 0 && self.link_active.get(&to).copied().unwrap_or(0) >= cap;
-                    if deferred {
-                        self.link_waiting.entry(to).or_default().push_back((version, key));
-                    } else if cap > 0 {
-                        *self.link_active.entry(to).or_insert(0) += 1;
-                    }
-                    self.outbox.insert(
-                        (version, key),
-                        OutboxEntry {
-                            to,
-                            chunks,
-                            acked: vec![false; n],
-                            in_flight: None,
-                            attempts: 0,
-                            backoff: self.config.migration_chunk_timeout,
-                            deadline: SimTime::ZERO,
-                            next_ship_at: now,
-                            gave_up: false,
-                            deferred,
-                        },
-                    );
-                    if self.config.record_metrics {
-                        let ids = self.mids(metrics);
-                        metrics.incr(ids.migration_keys_staged, 1);
-                        if deferred {
-                            metrics.incr(ids.migration_deferred, 1);
-                        }
+                    // A replica whose queue lags its peers' can pump the
+                    // plan after the move's MigrationDone was delivered
+                    // here; a transfer started now would never be
+                    // dismantled and would hold its link slot forever.
+                    if !self.settled_done(version, key) {
+                        self.staged.start(&self.config, version, key, to, vars, now);
                     }
                     continue; // chunks ship from the migration pump
                 }
@@ -2048,26 +1377,11 @@ impl<A: Application> ServerCore<A> {
                 // whole transfer charges the link at once — this is the
                 // stall baseline staged migration is measured against.
                 if self.config.migration_link_bytes_per_sec > 0 {
-                    let t = transfer_time(&self.config, vars.len());
-                    let w = earliest_free_worker(&self.exec.clocks);
-                    advance_busy(&mut self.exec.clocks[w], now, t);
+                    self.exec.charge(now, transfer_time(&self.config, vars.len()));
                 }
-                if was_awaiting {
-                    // Not authoritative yet: send only what we hold.
-                    if !vars.is_empty() {
-                        eff.push(Effect::Send {
-                            to: Destination::Partition(to),
-                            msg: Direct::PlanVars {
-                                version,
-                                key,
-                                from: self.partition,
-                                vars,
-                                pending,
-                                primary: false,
-                            },
-                        });
-                    }
-                } else {
+                // A key still awaiting its own inbound primary is not
+                // authoritative here: send only what we hold.
+                if !was_awaiting || !vars.is_empty() {
                     eff.push(Effect::Send {
                         to: Destination::Partition(to),
                         msg: Direct::PlanVars {
@@ -2076,7 +1390,7 @@ impl<A: Application> ServerCore<A> {
                             from: self.partition,
                             vars,
                             pending,
-                            primary: true,
+                            primary: !was_awaiting,
                         },
                     });
                 }
@@ -2096,23 +1410,27 @@ impl<A: Application> ServerCore<A> {
         }
         // Staged shipments whose Done outran this plan in the queue can
         // resolve now that the ownership it decides is in place.
-        let mut staged_done: Vec<(u64, LocKey)> =
-            self.staging.iter().filter(|(_, e)| e.done).map(|(&k, _)| k).collect();
-        staged_done.sort_unstable();
-        for (v, key) in staged_done {
+        for (v, key) in self.staged.done_moves() {
             self.try_install_staged(v, key, metrics, eff);
         }
         // Re-process shipments that arrived before this plan.
-        let ready: Vec<_> = {
-            let (ready, later): (Vec<_>, Vec<_>) =
-                self.planvars_buffer.drain(..).partition(|&(v, ..)| v <= version);
-            self.planvars_buffer = later;
-            ready
-        };
-        for (v, key, from, vars, pending, primary) in ready {
-            self.on_plan_vars(v, key, from, vars, pending, primary, metrics, eff);
+        let (ready, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.planvars_buffer)
+            .into_iter()
+            .partition(|s| s.version <= version);
+        self.planvars_buffer = later;
+        for shipment in ready {
+            self.on_plan_vars(shipment, metrics, eff);
         }
-        true
+    }
+
+    /// Whether the move `(version, key)` is already decided Done: decided
+    /// in the plan history, with no source-side revert of it queued (a
+    /// decided revert always queues one behind its plan).
+    fn settled_done(&self, version: u64, key: LocKey) -> bool {
+        self.history.decided(version, key)
+            && !self.queue.iter().any(|q| {
+                matches!(q, Queued::MigrationRevert { version: v, key: k } if *v == version && *k == key)
+            })
     }
 
     /// Queue-ordered source-side resolution of a gave-up staged migration.
@@ -2124,31 +1442,21 @@ impl<A: Application> ServerCore<A> {
     /// retained state there as the primary shipment the owner awaits.
     fn pump_revert(
         &mut self,
-        entry: &mut Queued<A>,
+        version: u64,
+        key: LocKey,
         now: SimTime,
         metrics: &mut Metrics,
         eff: &mut Vec<Effect<A>>,
-    ) -> bool {
-        let QueuedBody::MigrationRevert { version, key } = &entry.body else {
-            // detlint::allow(P003): pump dispatches to this handler by matching QueuedBody::MigrationRevert; other variants cannot reach here
-            unreachable!("pump_revert on non-revert queue entry")
+    ) {
+        let Some((to, vars)) = self.staged.finish(&self.config, version, key, now) else {
+            return; // already dismantled (e.g. by a racing Done)
         };
-        let (version, key) = (*version, *key);
-        let Some(e) = self.outbox.remove(&(version, key)) else {
-            return true; // already dismantled (e.g. by a racing Done)
-        };
-        if !e.deferred && !e.gave_up {
-            self.release_link_slot(e.to, now, metrics);
-        }
-        let owner = self.history.resolved_owner_versioned(key);
-        match owner {
+        match self.history.resolved_owner_versioned(key) {
             Some((owner, owner_version)) if owner != self.partition => {
-                if self.outmigrated.get(&key) == Some(&e.to) {
+                if self.outmigrated.get(&key) == Some(&to) {
                     self.outmigrated.insert(key, owner);
                 }
                 if !self.owned.contains(&key) {
-                    let vars: Vec<(VarId, Option<A::Value>)> =
-                        e.chunks.into_iter().flatten().collect();
                     // Carry the version of the move that made `owner` the
                     // owner, so its plan-version buffering resolves the
                     // shipment against the right plan.
@@ -2168,20 +1476,11 @@ impl<A: Application> ServerCore<A> {
             _ => {
                 // Replay says the key belongs here (owner is us, or no
                 // non-reverted move survives): classic rollback.
-                if self.outmigrated.get(&key) == Some(&e.to) && !self.owned.contains(&key) {
+                if self.outmigrated.get(&key) == Some(&to) && !self.owned.contains(&key) {
                     self.outmigrated.remove(&key);
                     self.owned.insert(key);
-                    for chunk in e.chunks {
-                        for (v, val) in chunk {
-                            match val {
-                                Some(val) => {
-                                    self.store.insert(v, val);
-                                }
-                                None => {
-                                    self.store.remove(&v);
-                                }
-                            }
-                        }
+                    for (v, val) in vars {
+                        store_put(&mut self.store, v, val);
                     }
                 }
             }
@@ -2190,179 +1489,6 @@ impl<A: Application> ServerCore<A> {
             let ids = self.mids(metrics);
             metrics.incr(ids.migration_reverts, 1);
         }
-        true
-    }
-
-    /// Frees one in-flight slot on the link to `to` and promotes waiting
-    /// deferred transfers (oldest = hottest first) into free slots.
-    /// Returns whether any transfer was promoted. No-op when the per-link
-    /// cap is disabled.
-    fn release_link_slot(&mut self, to: PartitionId, now: SimTime, metrics: &mut Metrics) -> bool {
-        let cap = self.config.migration_max_inflight_per_link;
-        if cap == 0 {
-            return false;
-        }
-        if let Some(n) = self.link_active.get_mut(&to) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                self.link_active.remove(&to);
-            }
-        }
-        let mut promoted = false;
-        while self.link_active.get(&to).copied().unwrap_or(0) < cap {
-            let Some(k) = self.link_waiting.get_mut(&to).and_then(VecDeque::pop_front) else {
-                self.link_waiting.remove(&to);
-                break;
-            };
-            match self.outbox.get_mut(&k) {
-                Some(e) if e.deferred && !e.gave_up => {
-                    e.deferred = false;
-                    e.next_ship_at = now;
-                    *self.link_active.entry(to).or_insert(0) += 1;
-                    promoted = true;
-                    if self.config.record_metrics {
-                        let ids = self.mids(metrics);
-                        metrics.incr(ids.migration_released, 1);
-                    }
-                }
-                // Stale waiter (entry dismantled meanwhile): keep popping.
-                _ => {}
-            }
-        }
-        promoted
-    }
-
-    /// Drives every staged migration this partition is the source of:
-    /// ships the next chunk when the rate limiter allows, retransmits
-    /// timed-out chunks with exponential backoff, and requests a revert
-    /// once retries are exhausted. Give-ups free their link slot, and any
-    /// transfer promoted into it ships in a follow-up pass. Returns the
-    /// earliest future instant at which this pump needs to run again
-    /// (always `> now`: past-due work was just handled).
-    fn pump_migration(
-        &mut self,
-        now: SimTime,
-        metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-    ) -> Option<SimTime> {
-        let mut next_due: Option<SimTime> = None;
-        loop {
-            let freed = self.pump_migration_pass(now, metrics, eff, &mut next_due);
-            let mut promoted = false;
-            for to in freed {
-                promoted |= self.release_link_slot(to, now, metrics);
-            }
-            if !promoted {
-                break;
-            }
-            // A promoted transfer has `next_ship_at = now`: re-run the
-            // pass so its first chunk ships in this same batch.
-        }
-        next_due
-    }
-
-    /// One pass over the outbox; returns the destinations whose link slot
-    /// was freed by a give-up in this pass.
-    fn pump_migration_pass(
-        &mut self,
-        now: SimTime,
-        metrics: &mut Metrics,
-        eff: &mut Vec<Effect<A>>,
-        next_due: &mut Option<SimTime>,
-    ) -> Vec<PartitionId> {
-        if self.outbox.is_empty() {
-            return Vec::new();
-        }
-        let ids = if self.config.record_metrics { Some(self.mids(metrics)) } else { None };
-        let me = self.partition;
-        let backoff_cap = self.config.migration_chunk_timeout.saturating_mul(64);
-        let due = |slot: &mut Option<SimTime>, at: SimTime| {
-            *slot = Some(slot.map_or(at, |cur| cur.min(at)));
-        };
-        // Serialization/NIC time of chunk shipments charges worker clocks;
-        // the vector is taken out so the outbox can stay mutably borrowed.
-        let mut clocks = std::mem::take(&mut self.exec.clocks);
-        let mut reverts: Vec<(u64, LocKey, PartitionId)> = Vec::new();
-        for (&(version, key), e) in self.outbox.iter_mut() {
-            if e.gave_up || e.deferred {
-                continue;
-            }
-            if let Some(i) = e.in_flight {
-                if now < e.deadline {
-                    due(next_due, e.deadline);
-                    continue;
-                }
-                // Ack deadline missed: retry with backoff, or give up.
-                e.attempts += 1;
-                if e.attempts > self.config.migration_max_retries {
-                    e.gave_up = true;
-                    reverts.push((version, key, e.to));
-                    continue;
-                }
-                e.backoff = e.backoff.saturating_mul(2).min(backoff_cap);
-                let transfer = transfer_time(&self.config, e.chunks[i].len());
-                e.deadline = now + transfer + e.backoff;
-                let w = earliest_free_worker(&clocks);
-                advance_busy(&mut clocks[w], now, transfer);
-                eff.push(Effect::Send {
-                    to: Destination::Partition(e.to),
-                    msg: Direct::PlanVarsChunk {
-                        version,
-                        key,
-                        from: me,
-                        chunk: i as u32,
-                        total: e.chunks.len() as u32,
-                        vars: e.chunks[i].clone(),
-                    },
-                });
-                if let Some(ids) = ids {
-                    metrics.incr(ids.migration_chunks_sent, 1);
-                    metrics.incr(ids.migration_chunk_retries, 1);
-                }
-                due(next_due, e.deadline);
-                continue;
-            }
-            let Some(i) = e.acked.iter().position(|&a| !a) else {
-                continue; // all chunks acked; awaiting the MigrationDone
-            };
-            if now < e.next_ship_at {
-                due(next_due, e.next_ship_at);
-                continue;
-            }
-            let transfer = transfer_time(&self.config, e.chunks[i].len());
-            e.in_flight = Some(i);
-            e.next_ship_at = now + transfer;
-            e.deadline = now + transfer + e.backoff;
-            let w = earliest_free_worker(&clocks);
-            advance_busy(&mut clocks[w], now, transfer);
-            eff.push(Effect::Send {
-                to: Destination::Partition(e.to),
-                msg: Direct::PlanVarsChunk {
-                    version,
-                    key,
-                    from: me,
-                    chunk: i as u32,
-                    total: e.chunks.len() as u32,
-                    vars: e.chunks[i].clone(),
-                },
-            });
-            if let Some(ids) = ids {
-                metrics.incr(ids.migration_chunks_sent, 1);
-            }
-            due(next_due, e.deadline);
-        }
-        self.exec.clocks = clocks;
-        let mut freed = Vec::with_capacity(reverts.len());
-        for (version, key, to) in reverts {
-            freed.push(to);
-            eff.push(Effect::Multicast {
-                mid: migration_mid(key, version, TAG_MIGRATION_REVERT),
-                partitions: vec![me, to],
-                oracle: OracleDest::All,
-                payload: Payload::MigrationRevert { version, key, from: me, to },
-            });
-        }
-        freed
     }
 
     /// Runs the migration pump and collapses this batch's `Wake` requests
@@ -2372,7 +1498,8 @@ impl<A: Application> ServerCore<A> {
     /// next deadline or a retransmit could be lost. A batch with neither
     /// wakes nor migration work leaves any previously armed timer intact.
     fn finalize_wakes(&mut self, now: SimTime, metrics: &mut Metrics, eff: &mut Vec<Effect<A>>) {
-        let mut min_wake = self.pump_migration(now, metrics, eff);
+        let mut min_wake = self.staged.pump(&self.config, &mut self.exec, now, eff);
+        self.record_migration_tally(metrics);
         eff.retain(|e| match e {
             Effect::Wake { at } => {
                 min_wake = Some(min_wake.map_or(*at, |cur| cur.min(*at)));
@@ -2383,6 +1510,20 @@ impl<A: Application> ServerCore<A> {
         if let Some(at) = min_wake {
             eff.push(Effect::Wake { at });
         }
+    }
+
+    /// Records the staged-migration events counted since the last call.
+    fn record_migration_tally(&mut self, metrics: &mut Metrics) {
+        let t = self.staged.take_tally();
+        if !self.config.record_metrics || t == MigrationTally::default() {
+            return;
+        }
+        let ids = self.mids(metrics);
+        metrics.incr(ids.migration_keys_staged, t.keys_staged);
+        metrics.incr(ids.migration_deferred, t.deferred);
+        metrics.incr(ids.migration_released, t.released);
+        metrics.incr(ids.migration_chunks_sent, t.chunks_sent);
+        metrics.incr(ids.migration_chunk_retries, t.chunk_retries);
     }
 }
 
@@ -2401,7 +1542,7 @@ impl<A: Application> std::fmt::Debug for ServerCore<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::CommandKind;
+    use crate::command::{AccessSets, Command};
     use dynastar_runtime::{NodeId, SimDuration};
 
     struct App;
@@ -2434,7 +1575,12 @@ mod tests {
     }
 
     fn server(p: u32, keys: &[u64], vars: &[(u64, i64)]) -> ServerCore<App> {
-        let mut s = ServerCore::new(PartitionId(p), Mode::Dynastar, ServerConfig::default());
+        let mut s = ServerCore::new(
+            PartitionId(p),
+            Mode::Dynastar,
+            ServerConfig::default(),
+            ExecConfig::default(),
+        );
         s.preload(keys.iter().map(|&k| LocKey(k)), vars.iter().map(|&(v, x)| (VarId(v), x)));
         s
     }
@@ -2483,7 +1629,8 @@ mod tests {
     #[test]
     fn hint_batch_goes_to_planner_shard() {
         let config = ServerConfig { hint_batch: 3, ..ServerConfig::default() };
-        let mut s = ServerCore::<App>::new(PartitionId(2), Mode::Dynastar, config);
+        let mut s =
+            ServerCore::<App>::new(PartitionId(2), Mode::Dynastar, config, ExecConfig::default());
         s.preload(
             [LocKey(0), LocKey(1), LocKey(2)],
             [(VarId(0), 0), (VarId(10), 0), (VarId(20), 0)],
@@ -2739,11 +1886,19 @@ mod tests {
 
     #[test]
     fn dssmr_keep_transfers_ownership() {
-        let mut lender =
-            ServerCore::<App>::new(PartitionId(1), Mode::DsSmr, ServerConfig::default());
+        let mut lender = ServerCore::<App>::new(
+            PartitionId(1),
+            Mode::DsSmr,
+            ServerConfig::default(),
+            ExecConfig::default(),
+        );
         lender.preload([LocKey(1)], [(VarId(10), 50)]);
-        let mut target =
-            ServerCore::<App>::new(PartitionId(0), Mode::DsSmr, ServerConfig::default());
+        let mut target = ServerCore::<App>::new(
+            PartitionId(0),
+            Mode::DsSmr,
+            ServerConfig::default(),
+            ExecConfig::default(),
+        );
         target.preload([LocKey(0)], [(VarId(0), 1)]);
         let mut m = Metrics::new();
         let payload = Payload::Access {
@@ -2777,7 +1932,12 @@ mod tests {
     #[test]
     fn ssmr_exchange_and_execute_everywhere() {
         let mk = |p: u32, keys: &[u64], vars: &[(u64, i64)]| {
-            let mut s = ServerCore::<App>::new(PartitionId(p), Mode::SSmr, ServerConfig::default());
+            let mut s = ServerCore::<App>::new(
+                PartitionId(p),
+                Mode::SSmr,
+                ServerConfig::default(),
+                ExecConfig::default(),
+            );
             s.preload(keys.iter().map(|&k| LocKey(k)), vars.iter().map(|&(v, x)| (VarId(v), x)));
             s
         };
@@ -2832,7 +1992,17 @@ mod tests {
         vars: &[(u64, i64)],
         cfg: ServerConfig,
     ) -> ServerCore<App> {
-        let mut s = ServerCore::new(PartitionId(p), Mode::Dynastar, cfg);
+        staged_server_on(p, keys, vars, cfg, ExecConfig::default())
+    }
+
+    fn staged_server_on(
+        p: u32,
+        keys: &[u64],
+        vars: &[(u64, i64)],
+        cfg: ServerConfig,
+        exec: ExecConfig,
+    ) -> ServerCore<App> {
+        let mut s = ServerCore::new(PartitionId(p), Mode::Dynastar, cfg, exec);
         s.preload(keys.iter().map(|&k| LocKey(k)), vars.iter().map(|&(v, x)| (VarId(v), x)));
         s
     }
@@ -3048,11 +2218,8 @@ mod tests {
         // delivery. The staged vars must survive until the plan pump
         // makes this replica the owner — dropping them would leave the
         // key owned-but-empty, with every command for it waiting forever.
-        let cfg = ServerConfig {
-            exec: ExecConfig::serial(SimDuration::from_millis(10)),
-            ..staged_config(5)
-        };
-        let mut dst = staged_server(1, &[1], &[(10, 0)], cfg);
+        let exec = ExecConfig::serial(SimDuration::from_millis(10));
+        let mut dst = staged_server_on(1, &[1], &[(10, 0)], staged_config(5), exec);
         let mut m = Metrics::new();
         let t0 = now();
         // An unrelated command occupies the modelled CPU...
@@ -3093,6 +2260,57 @@ mod tests {
             &mut m,
         );
         assert_eq!(reply_of(&eff), Some(vec![(VarId(0), 8)]));
+    }
+
+    #[test]
+    fn done_outrunning_queued_plan_starts_no_source_transfer() {
+        // Source-side twin of the test above: a busy source CPU leaves the
+        // plan queued while the Done — completed by a faster peer
+        // replica's transfer — applies at delivery. A transfer started
+        // when the plan finally pumps would never be dismantled, and would
+        // hold its link slot forever.
+        let exec = ExecConfig::serial(SimDuration::from_millis(10));
+        let cfg = ServerConfig { migration_max_inflight_per_link: 1, ..staged_config(5) };
+        let mut src = staged_server_on(0, &[0, 1, 2], &[(0, 7), (10, 8), (20, 0)], cfg, exec);
+        let mut m = Metrics::new();
+        let t0 = now();
+        let t1 = t0 + SimDuration::from_millis(10);
+        // An unrelated command occupies the modelled CPU...
+        let eff = src.on_deliver(access_payload(0, &[(20, 0)], 0, 0), t0, &mut m);
+        assert!(reply_of(&eff).is_some());
+        // ...so the move plan delivered next stays queued, and its Done
+        // is delivered before it pumps.
+        let _ = src.on_deliver(move_plan(), t0, &mut m);
+        let done = Payload::MigrationDone {
+            version: PLAN_V1,
+            key: LocKey(0),
+            from: PartitionId(0),
+            to: PartitionId(1),
+        };
+        let _ = src.on_deliver(done, t0, &mut m);
+        assert!(src.owns(LocKey(0)), "the plan has not pumped yet");
+        // The CPU frees up and the plan pumps: the key leaves, but no
+        // transfer starts.
+        let eff = src.on_wake(t1, &mut m);
+        assert!(!src.owns(LocKey(0)));
+        assert_eq!(src.value_of(VarId(0)), None);
+        assert!(chunk_of(&eff).is_none(), "a settled move ships no chunk");
+        // The link's only in-flight slot is free: the next move ships at
+        // once instead of being deferred.
+        let plan2 =
+            Payload::Plan { version: 2, moves: vec![(LocKey(1), PartitionId(0), PartitionId(1))] };
+        let eff = src.on_deliver(plan2, t1, &mut m);
+        let Some(Direct::PlanVarsChunk { key, .. }) = chunk_of(&eff) else {
+            panic!("the next move must ship its first chunk")
+        };
+        assert_eq!(key, LocKey(1));
+        assert_eq!(m.counter(mn::MIGRATION_DEFERRED), 0);
+        // Nothing is left to retransmit or give up on for the settled move.
+        let eff = src.on_wake(SimTime::from_secs(30), &mut m);
+        assert!(eff.iter().all(|e| !matches!(
+            e,
+            Effect::Send { msg: Direct::PlanVarsChunk { key: LocKey(0), .. }, .. }
+        )));
     }
 
     /// Runs one full staged migration of key 0 between `src` and `dst` at
@@ -3233,10 +2451,8 @@ mod tests {
         let mut s = ServerCore::new(
             PartitionId(0),
             Mode::Dynastar,
-            ServerConfig {
-                exec: ExecConfig::pool(workers, SimDuration::from_micros(100)),
-                ..ServerConfig::default()
-            },
+            ServerConfig::default(),
+            ExecConfig::pool(workers, SimDuration::from_micros(100)),
         );
         s.preload((0..4).map(LocKey), (0..VARS).map(|v| (VarId(v), 0i64)));
         let mut m = Metrics::new();

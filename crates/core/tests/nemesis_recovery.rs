@@ -452,3 +452,37 @@ fn fault_free_histories_deterministic_across_batch_sizes() {
         assert_eq!(key(&h1), key(&h2), "same-seed runs diverged (max_batch {})", batch.max_batch);
     }
 }
+
+/// Direct messages travel outside the total order, so one that reaches a
+/// peer after it donated its snapshot is in no snapshot: a recovering
+/// replica must hold the copy addressed to it and replay it after
+/// install. Here partition 1's replica 0 restarts while its peer replica 1
+/// is cut off, so it installs from replica 2's snapshot — taken while
+/// borrow exchanges with partition 0 were still in flight. Dropping their
+/// direct messages during recovery left the replica waiting at its queue
+/// head forever, and the next plan then left its ownership behind its
+/// peers'.
+#[test]
+fn directs_received_while_recovering_are_replayed() {
+    let mut cluster = build_cluster(0, true, 400);
+    let history = add_recorders(&mut cluster, 3, 40, 100);
+    let victim = NodeId::from_raw(3); // partition 1, replica 0
+    let peer = NodeId::from_raw(4); // partition 1, replica 1
+    cluster.sim.schedule_crash(SimTime::from_millis(500), victim);
+    cluster.sim.schedule_disconnect(SimTime::from_millis(550), peer);
+    cluster.sim.schedule_restart(SimTime::from_millis(560), victim);
+    cluster.sim.schedule_reconnect(SimTime::from_millis(2000), peer);
+    cluster.run_for(SimDuration::from_secs(60));
+
+    let m = cluster.metrics();
+    assert_eq!(m.counter(metric_names::RECOVERY_COMPLETIONS), 1, "the victim must recover once");
+    assert!(m.counter(metric_names::PLANS_PUBLISHED) >= 1, "no plan moved keys after recovery");
+    for (g, group) in cluster.location_views().iter().enumerate() {
+        assert!(group[0].is_some(), "group {g}: replica 0 is still recovering");
+        assert!(
+            group.iter().all(|v| v == &group[0]),
+            "group {g}: replicas' key ownership diverged after recovery"
+        );
+    }
+    assert_eq!(history.lock().unwrap().len(), 3 * 40, "not all commands completed");
+}

@@ -71,6 +71,8 @@ impl Default for Config {
                 "crates/runtime/src/dedup.rs",
                 "crates/runtime/src/net.rs",
                 "crates/core/src/server.rs",
+                "crates/core/src/exec.rs",
+                "crates/core/src/migration.rs",
                 "crates/core/src/oracle.rs",
                 "crates/core/src/client.rs",
                 "crates/core/src/cluster.rs",
@@ -106,14 +108,12 @@ impl Default for Config {
                 "handle_recovery",
             ]),
             scheduler_roots: v(&[
-                "Server::gate_for",
-                "Server::admit_execution",
-                "ExecScheduler::earliest_free_worker",
-                "ExecScheduler::advance_busy",
-                "ExecScheduler::prune",
-                "ExecScheduler::note_stall",
+                "ExecScheduler::barrier_gate",
+                "ExecScheduler::access_gate",
+                "ExecScheduler::admit",
+                "ExecScheduler::charge",
             ]),
-            scheduler_scope: v(&["crates/core/src/server.rs"]),
+            scheduler_scope: v(&["crates/core/src/exec.rs"]),
             test_globs: v(&["tests/**", "crates/*/tests/**", "crates/*/benches/**"]),
         }
     }
